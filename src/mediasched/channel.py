@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 _CHANNEL_FIELDS = {"states", "transition", "initial"}
@@ -55,6 +55,9 @@ def validate_channel(model: ChannelModel) -> list[str]:
     for pos, st in enumerate(model.states):
         if st.id != pos:
             out.append(f"state at position {pos} has id {st.id}, expected {pos}")
+        for name in ("gain", "rate", "loss_prob"):
+            if not math.isfinite(getattr(st, name)):
+                out.append(f"state {st.id}: {name} must be finite")
         if st.gain <= 0:
             out.append(f"state {st.id}: gain must be positive")
         if st.rate <= 0:
@@ -65,6 +68,8 @@ def validate_channel(model: ChannelModel) -> list[str]:
     if tr.shape != (n, n):
         out.append(f"transition must be {n}x{n}, got {tr.shape}")
         return out
+    if not np.isfinite(tr).all():
+        out.append("transition has non-finite entries")
     if (tr < -_PROB_TOL).any():
         out.append("transition has negative entries")
     rows = tr.sum(axis=1)
@@ -75,6 +80,8 @@ def validate_channel(model: ChannelModel) -> list[str]:
     if init.shape != (n,):
         out.append(f"initial must have length {n}, got shape {init.shape}")
     else:
+        if not np.isfinite(init).all():
+            out.append("initial has non-finite entries")
         if (init < -_PROB_TOL).any():
             out.append("initial has negative entries")
         if abs(init.sum() - 1.0) > 1e-6:
@@ -224,15 +231,13 @@ def averaged_channel(model: ChannelModel) -> ChannelModel:
             transition=np.array([[1.0]]),
             initial=np.array([1.0]),
         )
-    support = nx.DiGraph()
-    support.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if model.transition[i, j] > 0:
-                support.add_edge(i, j)
-    if not nx.is_strongly_connected(support):
+    # Boolean matrix powers of the support. Irreducible: every state reaches
+    # every other within n - 1 steps. Aperiodic, given irreducible: the
+    # (n - 1)^2 + 1 step support is all positive (Wielandt's bound).
+    step = model.transition > 0
+    if not np.linalg.matrix_power(step | np.eye(n, dtype=bool), n - 1).all():
         raise ChannelValidationError(["chain is reducible, stationary weights are not unique"])
-    if not nx.is_aperiodic(support):
+    if not np.linalg.matrix_power(step, (n - 1) ** 2 + 1).all():
         raise ChannelValidationError(["chain is periodic, long-run weights do not settle"])
 
     # pi solves pi P = pi with sum(pi) = 1

@@ -27,7 +27,7 @@ from .channel import (
     load_channel,
 )
 from .media import TraceFormatError, TraceValidationError, load_trace
-from .oracle import solve_exhaustive
+from .oracle import MAX_EXHAUSTIVE_PACKETS, solve_exhaustive
 from .priority import (
     build_priority_graph,
     build_state_tree,
@@ -144,7 +144,7 @@ def _cmd_compare(args) -> int:
         _build_policy(k, trace, channel, cost, args.alpha, args.lam)
         for k in ("proposed", "myopic", "greedy", "constant")
     ]
-    if len(trace.packets) <= 14:
+    if len(trace.packets) <= MAX_EXHAUSTIVE_PACKETS:
         policies.append(
             solve_exhaustive(trace, channel, cost, args.alpha, args.lam)
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -89,6 +90,9 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
         seen.add(p.id)
     ids = {p.id for p in trace.packets}
     for p in trace.packets:
+        for name in ("size_bits", "distortion"):
+            if not math.isfinite(getattr(p, name)):
+                out.append(f"packet {p.id}: {name} must be finite")
         if p.size_bits <= 0:
             out.append(f"packet {p.id}: size_bits must be positive")
         if p.distortion < 0:

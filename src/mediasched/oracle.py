@@ -23,6 +23,9 @@ from .channel import ChannelModel, CostModel
 from .media import MediaTrace, Packet, validate_trace, TraceValidationError
 from .solver import JointState, _index_for, _check_common
 
+# Each extra packet roughly triples the exhaustive run time.
+MAX_EXHAUSTIVE_PACKETS = 14
+
 
 @dataclass(eq=False)
 class ExhaustiveSolution:
@@ -102,7 +105,7 @@ def solve_exhaustive(
     cost: CostModel,
     alpha: float,
     lam: float,
-    max_packets: int = 14,
+    max_packets: int = MAX_EXHAUSTIVE_PACKETS,
 ) -> ExhaustiveSolution:
     """Optimal values over the full state space, no reachability pruning."""
     _check_common(trace, alpha, lam)

@@ -13,11 +13,15 @@ latter is the family of upper sets of the order, built by peeling roots.
 When no three packets are mutually unordered its nonempty-set count is the
 packet count plus the number of unordered pairs (the disconnection degree);
 larger unordered clusters push the count above that.
+
+One bitmask core computes the relation (descendant masks once per trace),
+its closure, its transitive reduction and root peeling. The id-set
+functions are adapters around it, and the solver's trace index uses it
+directly.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .media import MediaTrace, descendants
@@ -63,45 +67,151 @@ def higher_priority(j, k, trace: MediaTrace) -> str:
     """
     if j.id == k.id:
         raise ValueError("cannot order a packet against itself")
-    desc_j = descendants(trace, j.id)
-    desc_k = descendants(trace, k.id)
-    if k.id in desc_j:
-        return "j_before_k"
-    if j.id in desc_k:
-        return "k_before_j"
+    bit = {p.id: 1 << i for i, p in enumerate(trace.packets)}
+    desc_j, desc_k = (sum(bit[x] for x in descendants(trace, p.id)) for p in (j, k))
+    verdict = _order(j, k, bit[j.id], bit[k.id], desc_j, desc_k)
+    return ("k_before_j", "incomparable", "j_before_k")[verdict + 1]
+
+
+def _order(j, k, bit_j: int, bit_k: int, desc_j: int, desc_k: int) -> int:
+    """1 when j outranks k, -1 when k outranks j, 0 when unordered.
+
+    bit_* is a packet's own bit and desc_* the mask of its dependents.
+    """
+    if desc_j & bit_k:
+        return 1
+    if desc_k & bit_j:
+        return -1
     jk = (
         j.distortion >= k.distortion
         and j.deadline <= k.deadline
         and j.size_bits <= k.size_bits
-        and desc_k <= desc_j
+        and not desc_k & ~desc_j
     )
     kj = (
         k.distortion >= j.distortion
         and k.deadline <= j.deadline
         and k.size_bits <= j.size_bits
-        and desc_j <= desc_k
+        and not desc_j & ~desc_k
     )
     if jk and kj:
-        return "j_before_k" if j.id < k.id else "k_before_j"
-    if jk:
-        return "j_before_k"
-    if kj:
-        return "k_before_j"
-    return "incomparable"
+        return 1 if j.id < k.id else -1
+    return 1 if jk else -1 if kj else 0
+
+
+# ---------------------------------------------------------------------------
+# bitmask core: a relation over a frame of ids is one mask per node, with bit
+# i standing for frame[i]; pred[b] holds the nodes ranked above frame[b]
+# ---------------------------------------------------------------------------
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ids(frame, mask: int) -> frozenset[int]:
+    return frozenset(frame[i] for i in _bits(mask))
+
+
+def outranked_by(trace: MediaTrace, ids) -> list[int]:
+    """Per position in ids, the mask of the ids outranking it (not closed)."""
+    pos = {p.id: i for i, p in enumerate(trace.packets)}
+    desc = close([sum(1 << pos[c] for c in trace.children[p.id]) for p in trace.packets])
+    packets = [trace.by_id[x] for x in ids]
+    at = [pos[x] for x in ids]
+    pred = [0] * len(at)
+    for b in range(len(at)):
+        for a in range(b):
+            verdict = _order(
+                packets[a], packets[b], 1 << at[a], 1 << at[b], desc[at[a]], desc[at[b]]
+            )
+            if verdict > 0:
+                pred[b] |= 1 << a
+            elif verdict < 0:
+                pred[a] |= 1 << b
+    return pred
+
+
+def arrival_ordered(trace: MediaTrace, ids, pred: list[int]) -> list[int]:
+    """Drop predecessors arriving later: a later arrival cannot precede in time."""
+    arrival = [trace.by_id[x].arrival for x in ids]
+    return [
+        sum(1 << a for a in _bits(mask) if arrival[a] <= arrival[b])
+        for b, mask in enumerate(pred)
+    ]
+
+
+def close(rel: list[int]) -> list[int]:
+    """Transitive closure of a relation (Warshall over the masks)."""
+    reach = list(rel)
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        for i, mask in enumerate(reach):
+            if mask & bit:
+                reach[i] = mask | via
+    return reach
+
+
+def reduce_closed(closed: list[int]) -> list[int]:
+    """Transitive reduction of a closed acyclic relation."""
+    out = []
+    for mask in closed:
+        implied = 0
+        for x in _bits(mask):
+            implied |= closed[x]
+        out.append(mask & ~implied)
+    return out
+
+
+def peel(nodes: int, pred: list[int]) -> dict[int, list[int]]:
+    """Root-peeling family of a node set, each set mapped to its children.
+
+    A node is a root while none of its predecessors is left in the set. The
+    relation need not be closed: every removed set stays closed under
+    predecessors, so a blocked path always keeps a direct predecessor in.
+    """
+    family: dict[int, list[int]] = {}
+    stack = [nodes]
+    while stack:
+        cur = stack.pop()
+        if cur in family:
+            continue
+        family[cur] = [cur & ~(1 << i) for i in _bits(cur) if not pred[i] & cur]
+        stack.extend(family[cur])
+    return family
+
+
+# ---------------------------------------------------------------------------
+# id-set adapters
+# ---------------------------------------------------------------------------
+
+
+def _graph(frame, closed: list[int], nodes: int) -> PriorityGraph:
+    """Reduced graph of a closed relation restricted to a node mask."""
+    red = reduce_closed([m & nodes if nodes >> i & 1 else 0 for i, m in enumerate(closed)])
+    edges = frozenset((frame[a], frame[b]) for b in _bits(nodes) for a in _bits(red[b]))
+    return PriorityGraph(nodes=_ids(frame, nodes), edges=edges)
+
+
+def _masks(nodes, pairs) -> tuple[tuple[int, ...], list[int]]:
+    """Sorted frame of nodes and pred masks of the (higher, lower) pairs inside it."""
+    frame = tuple(sorted(nodes))
+    pos = {x: i for i, x in enumerate(frame)}
+    pred = [0] * len(frame)
+    for a, b in pairs:
+        if a in pos and b in pos:
+            pred[pos[b]] |= 1 << pos[a]
+    return frame, pred
 
 
 def priority_pairs(trace: MediaTrace, ids) -> set[tuple[int, int]]:
     """All ordered pairs (a, b) with a outranking b among the given ids."""
-    ids = sorted(ids)
-    out: set[tuple[int, int]] = set()
-    for pos, a in enumerate(ids):
-        for b in ids[pos + 1 :]:
-            verdict = higher_priority(trace.by_id[a], trace.by_id[b], trace)
-            if verdict == "j_before_k":
-                out.add((a, b))
-            elif verdict == "k_before_j":
-                out.add((b, a))
-    return out
+    ids = tuple(ids)
+    pred = outranked_by(trace, ids)
+    return {(ids[a], ids[b]) for b, mask in enumerate(pred) for a in _bits(mask)}
 
 
 def build_priority_graph(ids, trace: MediaTrace) -> PriorityGraph:
@@ -110,36 +220,8 @@ def build_priority_graph(ids, trace: MediaTrace) -> PriorityGraph:
     unknown = ids - set(trace.by_id)
     if unknown:
         raise ValueError(f"unknown packet ids {sorted(unknown)}")
-    relation = priority_pairs(trace, ids)
-    closure = _transitive_closure(ids, relation)
-    edges = _reduce(ids, relation, closure)
-    return PriorityGraph(nodes=ids, edges=frozenset(edges))
-
-
-def _transitive_closure(ids, relation) -> dict[int, set[int]]:
-    succ: dict[int, set[int]] = {n: set() for n in ids}
-    for a, b in relation:
-        succ[a].add(b)
-    reach: dict[int, set[int]] = {}
-    for n in ids:
-        seen: set[int] = set()
-        frontier = list(succ[n])
-        while frontier:
-            x = frontier.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            frontier.extend(succ[x])
-        reach[n] = seen
-    return reach
-
-def _reduce(ids, relation, closure) -> set[tuple[int, int]]:
-    # transitive reduction: keep (a, b) unless some x satisfies a -> x -> b
-    out = set()
-    for a, b in relation:
-        if not any(x != b and b in closure[x] for x in closure[a]):
-            out.add((a, b))
-    return out
+    frame = tuple(sorted(ids))
+    return _graph(frame, close(outranked_by(trace, frame)), (1 << len(frame)) - 1)
 
 
 def roots(pg: PriorityGraph) -> frozenset[int]:
@@ -150,30 +232,9 @@ def roots(pg: PriorityGraph) -> frozenset[int]:
 
 def disconnection_degree(pg: PriorityGraph) -> int:
     """Unordered node pairs with no directed path either way."""
-    reach = _graph_closure(pg)
-    nodes = sorted(pg.nodes)
-    count = 0
-    for pos, a in enumerate(nodes):
-        for b in nodes[pos + 1 :]:
-            if b not in reach[a] and a not in reach[b]:
-                count += 1
-    return count
-
-
-def _graph_closure(pg: PriorityGraph) -> dict[int, set[int]]:
-    succ = pg.successors()
-    reach: dict[int, set[int]] = {}
-    for n in pg.nodes:
-        seen: set[int] = set()
-        frontier = list(succ[n])
-        while frontier:
-            x = frontier.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            frontier.extend(succ[x])
-        reach[n] = seen
-    return reach
+    frame, pred = _masks(pg.nodes, pg.edges)
+    n = len(frame)
+    return n * (n - 1) // 2 - sum(mask.bit_count() for mask in close(pred))
 
 
 def tree_node_sets(nodes, pred: dict[int, frozenset[int]]) -> set[frozenset[int]]:
@@ -182,19 +243,8 @@ def tree_node_sets(nodes, pred: dict[int, frozenset[int]]) -> set[frozenset[int]
     pred maps each node to the nodes ranked above it; only predecessors
     inside the current set block a node from being a root.
     """
-    start = frozenset(nodes)
-    seen: set[frozenset[int]] = {start}
-    queue: deque[frozenset[int]] = deque([start])
-    while queue:
-        current = queue.popleft()
-        for n in current:
-            if pred[n] & current:
-                continue
-            child = current - {n}
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return seen
+    frame, masks = _masks(nodes, ((a, b) for b, above in pred.items() for a in above))
+    return {_ids(frame, m) for m in peel((1 << len(frame)) - 1, masks)}
 
 
 def build_state_tree(pg: PriorityGraph) -> StateTree:
@@ -204,38 +254,15 @@ def build_state_tree(pg: PriorityGraph) -> StateTree:
     the distinct upper sets of the order. When no three nodes are mutually
     unordered, the nonempty count is |nodes| + disconnection_degree(pg).
     """
-    closure = _graph_closure(pg)
-    pred: dict[int, set[int]] = {n: set() for n in pg.nodes}
-    for a in pg.nodes:
-        for b in closure[a]:
-            pred[b].add(a)
-    pred_f = {n: frozenset(s) for n, s in pred.items()}
-
-    graphs: dict[frozenset[int], PriorityGraph] = {}
-    edges: set[tuple[frozenset[int], frozenset[int]]] = set()
-    start = pg.nodes
-    graphs[start] = pg
-    queue: deque[frozenset[int]] = deque([start])
-    while queue:
-        current = queue.popleft()
-        for n in current:
-            if pred_f[n] & current:
-                continue
-            child = current - {n}
-            edges.add((current, child))
-            if child not in graphs:
-                graphs[child] = _induced(pg, closure, child)
-                queue.append(child)
-    return StateTree(
-        root=pg, nodes=frozenset(graphs.values()), edges=frozenset(edges)
+    frame, pred = _masks(pg.nodes, pg.edges)
+    closed = close(pred)
+    full = (1 << len(frame)) - 1
+    family = peel(full, pred)
+    graphs = {m: pg if m == full else _graph(frame, closed, m) for m in family}
+    edges = frozenset(
+        (graphs[m].nodes, graphs[c].nodes) for m, kids in family.items() for c in kids
     )
-
-
-def _induced(pg: PriorityGraph, closure: dict[int, set[int]], nodes: frozenset[int]) -> PriorityGraph:
-    relation = {(a, b) for a in nodes for b in closure[a] if b in nodes}
-    sub_closure = {n: {b for b in closure[n] if b in nodes} for n in nodes}
-    edges = _reduce(nodes, relation, sub_closure)
-    return PriorityGraph(nodes=nodes, edges=frozenset(edges))
+    return StateTree(root=pg, nodes=frozenset(graphs.values()), edges=edges)
 
 
 def reachable_states(trace: MediaTrace, t: int) -> tuple[set[frozenset[int]], PriorityGraph]:
@@ -248,26 +275,12 @@ def reachable_states(trace: MediaTrace, t: int) -> tuple[set[frozenset[int]], Pr
     """
     if t < 0:
         raise ValueError("slot must be nonnegative")
-    nodes = frozenset(
-        p.id for p in trace.packets if p.arrival < t <= p.deadline
-    )
-    relation = {
-        (a, b)
-        for (a, b) in priority_pairs(trace, nodes)
-        if trace.by_id[a].arrival <= trace.by_id[b].arrival
-    }
-    closure = _transitive_closure(nodes, relation)
-    edges = _reduce(nodes, relation, closure)
-    aux = PriorityGraph(nodes=nodes, edges=frozenset(edges))
-
-    pred: dict[int, set[int]] = {n: set() for n in nodes}
-    for a in nodes:
-        for b in closure[a]:
-            pred[b].add(a)
-    pre = tree_node_sets(nodes, {n: frozenset(s) for n, s in pred.items()})
+    frame = tuple(sorted(p.id for p in trace.packets if p.arrival < t <= p.deadline))
+    pred = arrival_ordered(trace, frame, outranked_by(trace, frame))
+    full = (1 << len(frame)) - 1
+    aux = _graph(frame, close(pred), full)
     arriving = trace.arrivals(t)
-    states = {frozenset(s | arriving) for s in pre}
-    return states, aux
+    return {_ids(frame, m) | arriving for m in peel(full, pred)}, aux
 
 
 # ---------------------------------------------------------------------------

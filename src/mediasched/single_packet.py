@@ -8,6 +8,7 @@ the hold value; ties wait.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ def solve_single(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be positive and finite")
     window = packet.deadline - packet.arrival + 1
     n = channel.n_states
     net = np.array(

@@ -30,6 +30,7 @@ evaluated lazily on demand and tallied separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .channel import ChannelModel, CostModel, marginal_cost
 from .media import MediaTrace, validate_trace, TraceValidationError
-from .priority import priority_pairs
+from .priority import arrival_ordered, outranked_by, peel
 from .single_packet import ThresholdPolicy, solve_single
 
 
@@ -83,7 +84,6 @@ class _TraceIndex:
     """Bitmask view of a trace: windows, dependencies, priorities, slots."""
 
     def __init__(self, trace: MediaTrace):
-        self.trace = trace
         self.ids = tuple(p.id for p in trace.packets)
         self.pos = {pid: i for i, pid in enumerate(self.ids)}
         n = len(self.ids)
@@ -97,9 +97,11 @@ class _TraceIndex:
         self.unit = self.size[0] if self.size else 1.0
 
         self.parent_mask = [0] * n
+        self.children: list[list[int]] = [[] for _ in range(n)]
         for i, p in enumerate(trace.packets):
             for parent in p.parents:
                 self.parent_mask[i] |= 1 << self.pos[parent]
+                self.children[self.pos[parent]].append(i)
         self.has_deps = any(self.parent_mask)
         self.topo = self._topo_order()
 
@@ -114,24 +116,18 @@ class _TraceIndex:
                 self.live_mask[t] |= 1 << i
 
         self._build_dep_slots()
-        self._build_priorities()
+        self.cert_pred = outranked_by(trace, self.ids)
+        self.aux_pred = arrival_ordered(trace, self.ids, self.cert_pred)
         self._tree_cache: dict[int, list[int]] = {}
 
     def _topo_order(self) -> list[int]:
         indeg = [bin(m).count("1") for m in self.parent_mask]
         order = [i for i in range(self.n) if indeg[i] == 0]
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for i, m in enumerate(self.parent_mask):
-            mm = m
-            while mm:
-                low = mm & -mm
-                children[low.bit_length() - 1].append(i)
-                mm ^= low
         head = 0
         while head < len(order):
             node = order[head]
             head += 1
-            for kid in children[node]:
+            for kid in self.children[node]:
                 indeg[kid] -= 1
                 if indeg[kid] == 0:
                     order.append(kid)
@@ -143,31 +139,26 @@ class _TraceIndex:
         """Per slot, the expired packets whose delivery state still matters."""
         hz = self.horizon
         members: list[list[int]] = [[] for _ in range(hz + 2)]
-        for t in range(hz + 2):
-            for i in range(self.n):
-                if self.deadline[i] >= t:
-                    continue
-                mm = 0
-                for j in range(self.n):
-                    if self.parent_mask[j] >> i & 1 and self.arrival[j] <= t <= self.deadline[j]:
-                        mm = 1
-                        break
-                if mm:
-                    members[t].append(i)
-        self.dep_slots = [tuple(m) for m in members]
-
-        # The record can only carry a bit forward from the previous slot or
-        # pick it up at the expiry boundary; a packet whose references resume
-        # after a gap would need history the state no longer holds.
         for i in range(self.n):
-            ts = [t for t in range(hz + 2) if i in self.dep_slots[t]]
+            # slots after i expired in which some child of i is live
+            ts = sorted({
+                t
+                for j in self.children[i]
+                for t in range(max(self.arrival[j], self.deadline[i] + 1), self.deadline[j] + 1)
+            })
             if not ts:
                 continue
-            if ts[0] != self.deadline[i] + 1 or ts != list(range(ts[0], ts[-1] + 1)):
+            # The record can only carry a bit forward from the previous slot or
+            # pick it up at the expiry boundary; a packet whose references resume
+            # after a gap would need history the state no longer holds.
+            if ts[0] != self.deadline[i] + 1 or ts[-1] - ts[0] + 1 != len(ts):
                 raise UnsupportedTraceError(
                     f"packet {self.ids[i]} is referenced by dependents across a slot gap "
                     "after its deadline; delivery state cannot be carried"
                 )
+            for t in ts:
+                members[t].append(i)
+        self.dep_slots = [tuple(m) for m in members]
 
         self.dep_index = [
             {pos: b for b, pos in enumerate(slot)} for slot in self.dep_slots
@@ -183,19 +174,6 @@ class _TraceIndex:
                     if self.deadline[pos] != t:
                         raise SolverError("dependency record lost a referenced packet")
                     self.dep_fresh[t].append((b, pos))
-
-    def _build_priorities(self):
-        self.cert_pred = [0] * self.n
-        for a, b in priority_pairs(self.trace, self.ids):
-            self.cert_pred[self.pos[b]] |= 1 << self.pos[a]
-        self.aux_pred = [
-            sum(
-                1 << j
-                for j in range(self.n)
-                if self.cert_pred[i] >> j & 1 and self.arrival[j] <= self.arrival[i]
-            )
-            for i in range(self.n)
-        ]
 
     # -- state helpers ------------------------------------------------------
 
@@ -272,22 +250,7 @@ class _TraceIndex:
         if t in self._tree_cache:
             return self._tree_cache[t]
         nodes = self.live_mask[t] & ~self.arrive_mask[t] if t <= self.horizon else 0
-        seen = {nodes}
-        queue = [nodes]
-        while queue:
-            cur = queue.pop()
-            mm = cur
-            while mm:
-                low = mm & -mm
-                i = low.bit_length() - 1
-                mm ^= low
-                if self.aux_pred[i] & cur:
-                    continue
-                child = cur & ~low
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        out = sorted(seen)
+        out = sorted(peel(nodes, self.aux_pred))
         self._tree_cache[t] = out
         return out
 
@@ -753,8 +716,8 @@ def solve(
 def _check_common(trace: MediaTrace, alpha: float, lam: float):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be positive and finite")
     bad = validate_trace(trace)
     if bad:
         raise TraceValidationError(bad)

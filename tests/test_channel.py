@@ -1,7 +1,15 @@
 """Channel model validation, serialization, sampling, and cost functions."""
 
+import json
+import os
+import subprocess
+import sys
+
+import networkx as nx
 import numpy as np
 import pytest
+
+import mediasched
 
 from mediasched import (
     ChannelFormatError,
@@ -100,6 +108,33 @@ def test_load_rejects_invalid_model():
     )
     with pytest.raises(ChannelValidationError):
         load_channel(doc)
+
+
+@pytest.mark.parametrize(
+    "field, violation",
+    [
+        ("gain", "gain must be finite"),
+        ("rate", "rate must be finite"),
+        ("loss_prob", "loss_prob must be finite"),
+        ("transition", "transition has non-finite"),
+        ("initial", "initial has non-finite"),
+    ],
+)
+def test_load_rejects_non_finite_fields(field, violation):
+    doc = {
+        "states": [{"id": 0, "gain": 1.0, "rate": 1.0, "loss_prob": 0.0},
+                   {"id": 1, "gain": 2.0, "rate": 2.0, "loss_prob": 0.0}],
+        "transition": [[0.5, 0.5], [0.5, 0.5]],
+        "initial": [0.5, 0.5],
+    }
+    if field in ("transition", "initial"):
+        row = doc[field][0] if field == "transition" else doc[field]
+        row[0] = float("nan")
+    else:
+        doc["states"][1][field] = float("nan")
+    with pytest.raises(ChannelValidationError) as err:
+        load_channel(json.dumps(doc))
+    assert any(violation in v for v in err.value.violations)
 
 
 def test_sample_path_length_and_reproducibility():
@@ -230,3 +265,39 @@ def test_averaged_channel_rejects_reducible_and_periodic():
     periodic = ChannelModel(transition=np.array([[0.0, 1.0], [1.0, 0.0]]), **base)
     with pytest.raises(ChannelValidationError, match="periodic"):
         averaged_channel(periodic)
+
+
+def test_averaged_channel_support_checks_match_networkx():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        transition = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
+        transition[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no empty rows
+        transition /= transition.sum(axis=1, keepdims=True)
+        states = tuple(
+            ChannelState(id=i, gain=1.0 + i, rate=1.0, loss_prob=0.0) for i in range(n)
+        )
+        model = ChannelModel(states=states, transition=transition,
+                             initial=np.full(n, 1.0 / n))
+        support = nx.DiGraph()
+        support.add_nodes_from(range(n))
+        support.add_edges_from(zip(*np.nonzero(transition > 0)))
+        if not nx.is_strongly_connected(support):
+            expect = "reducible"
+        elif not nx.is_aperiodic(support):
+            expect = "periodic"
+        else:
+            expect = None
+        if expect is None:
+            assert averaged_channel(model).n_states == 1
+        else:
+            with pytest.raises(ChannelValidationError, match=expect):
+                averaged_channel(model)
+
+
+def test_import_does_not_load_networkx():
+    src = os.path.dirname(os.path.dirname(mediasched.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mediasched; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

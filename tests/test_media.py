@@ -155,6 +155,19 @@ def test_load_rejects_invalid_trace():
     assert any("precede deadline" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("size_bits", "NaN"), ("size_bits", "Infinity"), ("distortion", "NaN"),
+     ("distortion", "Infinity")],
+)
+def test_load_rejects_non_finite_fields(field, value):
+    entry = {"id": 1, "size_bits": 1.0, "distortion": 1.0, "arrival": 0, "deadline": 2}
+    doc = json.dumps({"packets": [entry]}).replace(f'"{field}": 1.0', f'"{field}": {value}')
+    with pytest.raises(TraceValidationError) as err:
+        load_trace(doc)
+    assert any(f"{field} must be finite" in v for v in err.value.violations)
+
+
 def test_reachability_matches_networkx():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -115,6 +115,21 @@ def test_mutual_tie_resolves_to_lower_id():
     assert priority_pairs(trace, (1, 2)) == {(1, 2)}
 
 
+def test_priority_pairs_match_pairwise_verdicts():
+    rng = np.random.default_rng(47)
+    for k in range(60):
+        trace = random_trace(rng, n=int(rng.integers(2, 9)), deps=bool(k % 2))
+        ids = [p.id for p in trace.packets if rng.random() < 0.8]
+        expect = {
+            (a, b)
+            for a in ids
+            for b in ids
+            if a != b
+            and higher_priority(trace.by_id[a], trace.by_id[b], trace) == "j_before_k"
+        }
+        assert priority_pairs(trace, ids) == expect
+
+
 def test_self_comparison_rejected():
     trace = attr_trace((5,), (2,))
     with pytest.raises(ValueError):

@@ -90,6 +90,16 @@ def test_parameter_validation():
         solve_single(packet, channel, CostModel(kind="linear"), 0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "alpha, lam",
+    [(float("nan"), 1.0), (float("inf"), 1.0), (0.5, float("nan")), (0.5, float("inf"))],
+)
+def test_rejects_non_finite_parameters(alpha, lam):
+    packet = Packet(id=1, size_bits=1.0, distortion=1.0, arrival=0, deadline=1)
+    with pytest.raises(ValueError):
+        solve_single(packet, cheap_dear_channel(), CostModel(kind="linear"), alpha, lam)
+
+
 def test_hold_values_decrease_over_time_and_grow_with_alpha():
     rng = np.random.default_rng(31)
     for _ in range(20):

@@ -24,6 +24,7 @@ from mediasched import (
     solve_single,
     standard_dp_counts,
 )
+from mediasched.solver import _TraceIndex
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -125,6 +126,15 @@ def test_state_validation_messages():
         advance_state(JointState(0, frozenset({1}), (), 0), [77], 0, trace)
 
 
+def test_dep_slots_match_the_definition():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        trace = random_trace(rng, n=int(rng.integers(2, 10)), deps=True)
+        idx = _TraceIndex(trace)
+        for t in range(trace.horizon + 2):
+            assert sorted(idx.ids[i] for i in idx.dep_slots[t]) == dep_members(trace, t)
+
+
 def test_gapped_reference_window_is_refused():
     trace = MediaTrace(
         packets=(
@@ -182,6 +192,17 @@ def test_parameter_validation():
         solve(free, flat_channel(), CostModel(kind="linear"), 1.2, 1.0)
     with pytest.raises(ValueError):
         solve(free, flat_channel(), CostModel(kind="linear"), 0.9, -1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, lam",
+    [(float("nan"), 1.0), (float("inf"), 1.0), (0.9, float("nan")), (0.9, float("inf"))],
+)
+@pytest.mark.parametrize("kind", ["linear", "convex"])
+def test_rejects_non_finite_parameters(kind, alpha, lam):
+    trace = random_trace(np.random.default_rng(2), uniform=True)
+    with pytest.raises(ValueError):
+        solve(trace, flat_channel(), CostModel(kind=kind), alpha, lam)
 
 
 def test_solve_picks_engine():

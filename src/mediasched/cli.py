@@ -43,7 +43,7 @@ from .sim import (
     baseline_myopic,
     monte_carlo,
 )
-from .solver import UnsupportedTraceError, complexity_report, solve, solve_linear
+from .solver import SolvedPolicy, UnsupportedTraceError, complexity_report, solve
 
 
 def _add_io_args(p: argparse.ArgumentParser):
@@ -83,10 +83,7 @@ def _cmd_make_scenario(args) -> int:
 
 def _cmd_solve(args) -> int:
     trace, channel, cost = _load_inputs(args)
-    if args.mode == "single":
-        policy = solve_linear(trace, channel, cost, args.alpha, args.lam)
-    else:
-        policy = solve(trace, channel, cost, args.alpha, args.lam)
+    policy = solve(trace, channel, cost, args.alpha, args.lam)
     doc = policy.to_dump_dict()
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -95,7 +92,7 @@ def _cmd_solve(args) -> int:
     print(f"expected initial value: {policy.expected_initial_value():.6f}")
     print(f"policy written to {out}")
     if args.complexity:
-        if policy.table is None:
+        if not isinstance(policy, SolvedPolicy):
             print(
                 "complexity accounting needs the table engine; rerun with "
                 "dependencies or a convex cost",
@@ -209,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="plan a policy and dump it")
     _add_io_args(p)
-    p.add_argument("--mode", choices=["auto", "single"], default="auto")
     p.add_argument("--out", required=True, help="policy JSON output path")
     p.add_argument("--complexity", help="per-slot complexity CSV output path")
     p.set_defaults(func=_cmd_solve)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, CostModel, sample_path
+from .channel import ChannelModel, CostModel, averaged_channel, sample_path
 from .media import MediaTrace, ancestors
-from .solver import JointState, SolvedPolicy, _advance, _index_for, solve, solve_convex
-from .channel import averaged_channel
+from .solver import (
+    DecomposedPolicy, JointState, SolvedPolicy, _advance, _index_for, solve, solve_convex
+)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,8 @@ def monte_carlo(
     seed: int = 0,
 ) -> dict[str, SimReport]:
     """Paired evaluation: every policy sees the same paths and loss seeds."""
+    if episodes < 2:
+        raise ValueError("episodes must be at least 2 for a sample std")
     acc = {p.name: ([], [], [], []) for p in policies}
     hz = trace.horizon
     for i in range(episodes):
@@ -202,28 +205,11 @@ class DistortionGreedyPolicy:
     def decide(self, state: JointState) -> list[int]:
         idx = _index_for(self.trace)
         pending, dmask = idx.state_masks(state)
-        index = idx.dep_index[state.t]
-        cands = []
-        mm = pending
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            mm ^= low
-            ok = True
-            pm = idx.parent_mask[i]
-            while pm:
-                plow = pm & -pm
-                p = plow.bit_length() - 1
-                pm ^= plow
-                if idx.deadline[p] < state.t:
-                    if not dmask >> index[p] & 1:
-                        ok = False
-                        break
-                elif pending >> p & 1:
-                    ok = False
-                    break
-            if ok:
-                cands.append(i)
+        sched = idx.schedulable(state.t, pending, dmask)
+        cands = [
+            i for i in range(idx.n)
+            if sched >> i & 1 and not idx.parent_mask[i] & pending
+        ]
         cands.sort(key=lambda i: (-idx.q[i], idx.ids[i]))
         st = self.channel.states[state.channel]
         out = []
@@ -245,7 +231,7 @@ def baseline_distortion_greedy(
 class ConstantChannelPolicy:
     """Plan against the stationary average channel, ignore observed states."""
 
-    inner: SolvedPolicy
+    inner: DecomposedPolicy | SolvedPolicy
     name: str = "constant"
 
     def decide(self, state: JointState) -> list[int]:

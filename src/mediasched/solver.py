@@ -7,31 +7,33 @@ undelivered stays in the pending set until its own deadline but is never
 schedulable, so the pending sets visited by priority-respecting policies
 are exactly the root-peeling family of the per-slot auxiliary graph.
 
-Two engines:
+Two engines, each with its own policy class:
 
-* solve_linear: with additive costs and no dependencies the problem splits
-  into one optimal-stopping run per packet.
-* solve_convex: backward induction storing post-decision values, where each
-  slot is resolved by walking the priority graph: repeatedly emit the root
-  whose marginal gain (reward, minus the marginal slot cost of one more
-  packet, plus the shift in post-decision value) is largest, then cut the
-  walk at the prefix with the best accumulated gain. Step gains need not
-  fall monotonically: a dependency edge can force a cheap parent ahead of
-  the valuable child that repays it, so the walk runs the graph to
-  exhaustion before cutting.
+* solve_linear, DecomposedPolicy: with additive costs and no dependencies
+  the problem splits into one optimal-stopping run per packet.
+* solve_convex, SolvedPolicy: backward induction storing post-decision
+  values, where each slot is resolved by walking the priority graph:
+  repeatedly emit the root whose marginal gain (reward, minus the marginal
+  slot cost of one more packet, plus the shift in post-decision value) is
+  largest, then cut the walk at the prefix with the best accumulated gain.
+  Step gains need not fall monotonically: a dependency edge can force a
+  cheap parent ahead of the valuable child that repays it, so the walk
+  runs the graph to exhaustion before cutting.
 
 Post-decision values are keyed by the stripped pending set (expiring
 packets removed), the dependency record already advanced to the next slot,
 and the current channel state. The planned key family follows the per-slot
 enumeration; states sitting outside it (reachable only through dependency
 starvation, or through external loss feedback during simulation) are
-evaluated lazily on demand and tallied separately.
+evaluated lazily on demand. Those met while planning join the table and are
+tallied as extra; those met while acting go to per-slot memos on the policy,
+so acting never changes a solved table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from .channel import ChannelModel, CostModel, marginal_cost
 from .media import MediaTrace, validate_trace, TraceValidationError
 from .priority import arrival_ordered, outranked_by, peel
-from .single_packet import ThresholdPolicy, solve_single
+from .single_packet import ThresholdPolicy, act_single, solve_single
 
 
 class SolverError(RuntimeError):
@@ -71,7 +73,7 @@ class ValueTable:
     visited: list[int]
     stored: list[int]
     comparisons: list[int]
-    extra: list[int]  # lazily added state evaluations per slot
+    extra: list[int]  # off-family states evaluated while planning, per slot
 
 
 # ---------------------------------------------------------------------------
@@ -340,86 +342,116 @@ def _advance(
 
 
 # ---------------------------------------------------------------------------
-# solved policy
+# solved policies
 # ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
-class SolvedPolicy:
-    mode: str  # linear_decomposed, convex_independent, convex_interdependent
+class _Policy:
+    """Planning inputs, initial values and the dump header of either engine."""
+
     trace: MediaTrace
     channel: ChannelModel
     cost: CostModel
     alpha: float
     lam: float
-    name: str = "proposed"
-    table: ValueTable | None = None
-    per_packet: dict[int, ThresholdPolicy] | None = None
-    _idx: _TraceIndex | None = None
-    _powers: list[np.ndarray] | None = None
 
-    # -- acting ---------------------------------------------------------------
+    name = "proposed"  # baselines rename their instance
+
+    def initial_values(self) -> np.ndarray:
+        """Expected total value per starting channel state."""
+        pending = self.trace.live(0)
+        return np.array([
+            self.state_value(JointState(0, pending, (), h))
+            for h in range(self.channel.n_states)
+        ])
+
+    def expected_initial_value(self) -> float:
+        return float(self.channel.initial @ self.initial_values())
+
+    def to_dump_dict(self) -> dict:
+        return {
+            "engine": self.mode,
+            "alpha": self.alpha,
+            "lambda": self.lam,
+            "cost": self.cost.kind,
+            "initial_values": [float(x) for x in self.initial_values()],
+            **self._dump_tables(),
+        }
+
+
+@dataclass(eq=False)
+class DecomposedPolicy(_Policy):
+    """One optimal-stopping rule per packet, from solve_linear."""
+
+    per_packet: dict[int, ThresholdPolicy]
+    powers: list[np.ndarray]  # powers[k]: k-step transition matrix
+
+    mode = "linear_decomposed"
 
     def decide(self, state: JointState) -> list[int]:
-        """Ordered packet ids to emit in state.t."""
-        if self.mode == "linear_decomposed":
-            out = []
-            for pid in sorted(state.pending):
-                tp = self.per_packet[pid]
-                if tp.net[state.channel] > tp.thresholds[tp.row(state.t), state.channel]:
-                    out.append(pid)
-            return out
-        pending, dmask = self._idx.state_masks(state)
-        _, tx_order = _greedy(self, state.t, pending, dmask, state.channel)
-        return tx_order
-
-    # -- values ---------------------------------------------------------------
+        """Pending packet ids whose stopping rule fires in state.t, in id order."""
+        return [pid for pid in sorted(state.pending)
+                if act_single(self.per_packet[pid], state.t, state.channel)]
 
     def state_value(self, state: JointState) -> float:
-        if self.mode == "linear_decomposed":
-            return self._decomposed_value(state.t, state.pending, state.channel)
-        pending, dmask = self._idx.state_masks(state)
-        return _state_value(self, state.t, pending, dmask, state.channel)
-
-    def _decomposed_value(self, t: int, pending, h: int) -> float:
+        t, h = state.t, state.channel
         total = 0.0
         for p in self.trace.packets:
             if p.deadline < t:
                 continue
             tp = self.per_packet[p.id]
             if p.arrival <= t:
-                if p.id in pending:
+                if p.id in state.pending:
                     total += tp.values[t - p.arrival, h]
             else:
                 lag = p.arrival - t
-                total += self.alpha**lag * float(
-                    self._powers[lag][h] @ tp.values[0]
-                )
+                total += self.alpha**lag * float(self.powers[lag][h] @ tp.values[0])
         return total
 
-    def initial_values(self) -> np.ndarray:
-        """Expected total value per starting channel state."""
-        n = self.channel.n_states
-        start = JointState(
-            t=0,
-            pending=self.trace.live(0),
-            deps=(),
-            channel=0,
-        )
-        out = np.zeros(n)
-        for h in range(n):
-            out[h] = self.state_value(
-                JointState(start.t, start.pending, start.deps, h)
-            )
-        return out
+    def _dump_tables(self) -> dict:
+        return {
+            "packets": {
+                str(pid): {
+                    "arrival": tp.packet.arrival,
+                    "deadline": tp.packet.deadline,
+                    "thresholds": tp.thresholds.tolist(),
+                    "values": tp.values.tolist(),
+                }
+                for pid, tp in sorted(self.per_packet.items())
+            }
+        }
 
-    def expected_initial_value(self) -> float:
-        return float(self.channel.initial @ self.initial_values())
 
-    # -- reporting --------------------------------------------------------------
+@dataclass(eq=False)
+class SolvedPolicy(_Policy):
+    """Root walk over the post-decision value table, from solve_convex."""
+
+    table: ValueTable
+    idx: _TraceIndex
+
+    def __post_init__(self):
+        # Off-plan states evaluated while acting, per slot. The table is
+        # never written after solve, so acting leaves the dump unchanged.
+        self._post_memo: list[dict] = [{} for _ in range(self.idx.horizon + 1)]
+        self._state_memo: list[dict] = [{} for _ in range(self.idx.horizon + 1)]
+
+    @property
+    def mode(self) -> str:
+        return "convex_interdependent" if self.trace.has_dependencies else "convex_independent"
+
+    def decide(self, state: JointState) -> list[int]:
+        """Ordered packet ids to emit in state.t."""
+        pending, dmask = self.idx.state_masks(state)
+        _, tx_order = _greedy(self, state.t, pending, dmask, state.channel)
+        return tx_order
+
+    def state_value(self, state: JointState) -> float:
+        pending, dmask = self.idx.state_masks(state)
+        return _state_value(self, state.t, pending, dmask, state.channel)
 
     def canonical_post_items(self, t: int) -> dict[str, float]:
-        idx = self._idx
+        idx = self.idx
         out = {}
         for (bmask, dmask, h), v in self.table.post_values[t].items():
             ids = ",".join(str(x) for x in sorted(idx.ids_of(bmask)))
@@ -429,44 +461,20 @@ class SolvedPolicy:
             out[f"B={ids}|D={deps}|h={h}"] = v
         return out
 
-    def to_dump_dict(self) -> dict:
-        doc = {
-            "engine": self.mode,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "cost": self.cost.kind,
-            "initial_values": [float(x) for x in self.initial_values()],
-        }
-        if self.mode == "linear_decomposed":
-            doc["packets"] = {
-                str(pid): {
-                    "arrival": tp.packet.arrival,
-                    "deadline": tp.packet.deadline,
-                    "thresholds": tp.thresholds.tolist(),
-                    "values": tp.values.tolist(),
+    def _dump_tables(self) -> dict:
+        return {
+            "slots": [
+                {
+                    "t": t,
+                    "visited_states": self.table.visited[t],
+                    "stored_post_states": self.table.stored[t],
+                    "comparisons": self.table.comparisons[t],
+                    "extra_states": self.table.extra[t],
+                    "post_values": self.canonical_post_items(t),
                 }
-                for pid, tp in sorted(self.per_packet.items())
-            }
-            return doc
-        doc["slots"] = [
-            {
-                "t": t,
-                "visited_states": self.table.visited[t],
-                "stored_post_states": self.table.stored[t],
-                "comparisons": self.table.comparisons[t],
-                "extra_states": self.table.extra[t],
-                "post_values": self.canonical_post_items(t),
-            }
-            for t in range(self._idx.horizon + 1)
-        ]
-        return doc
-
-
-def act_travelling(policy: SolvedPolicy, state: JointState) -> list[int]:
-    """Emission order chosen by the root-walking rule at the given state."""
-    if policy.mode == "linear_decomposed":
-        raise ValueError("decomposed policies act per packet, not by graph walk")
-    return policy.decide(state)
+                for t in range(self.idx.horizon + 1)
+            ]
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +483,13 @@ def act_travelling(policy: SolvedPolicy, state: JointState) -> list[int]:
 
 
 def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx: int) -> float:
-    idx = pol._idx
+    idx = pol.idx
     stripped = pending & ~tx & ~idx.expire_mask[t]
     nxt_dmask = idx.dep_after(t, dmask, pending, tx)
     key = (stripped, nxt_dmask, h)
-    table = pol.table.post_values[t]
-    hit = table.get(key)
+    hit = pol.table.post_values[t].get(key)
+    if hit is None:
+        hit = pol._post_memo[t].get(key)
     if hit is not None:
         return hit
     # Off the planned family: evaluate the next slot on demand.
@@ -491,23 +500,23 @@ def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx:
         if row[h2] > 0.0:
             total += row[h2] * _state_value(pol, t + 1, nxt_pending, nxt_dmask, h2)
     value = pol.alpha * total
-    table[key] = value
+    pol._post_memo[t][key] = value
     return value
 
 
 def _state_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int) -> float:
-    if t > pol._idx.horizon:
+    if t > pol.idx.horizon:
         if pending:
             raise SolverError("pending packets past the horizon")
         return 0.0
-    table = pol.table.state_values[t]
     key = (pending, dmask, h)
-    hit = table.get(key)
+    hit = pol.table.state_values[t].get(key)
+    if hit is None:
+        hit = pol._state_memo[t].get(key)
     if hit is not None:
         return hit
     value, _ = _greedy(pol, t, pending, dmask, h)
-    table[key] = value
-    pol.table.extra[t] += 1
+    pol._state_memo[t][key] = value
     return value
 
 
@@ -524,7 +533,7 @@ def _greedy(
     Walks root by root to graph exhaustion, then keeps the shortest prefix
     whose accumulated marginal gain is maximal (empty when none is positive).
     """
-    idx = pol._idx
+    idx = pol.idx
     state = pol.channel.states[h]
     sched = idx.schedulable(t, pending, dmask)
     tx = 0
@@ -593,7 +602,7 @@ def solve_linear(
     cost: CostModel,
     alpha: float,
     lam: float,
-) -> SolvedPolicy:
+) -> DecomposedPolicy:
     """Per-packet decomposition; valid only for additive costs, no dependencies."""
     _check_common(trace, alpha, lam)
     if cost.kind != "linear":
@@ -609,15 +618,14 @@ def solve_linear(
     powers = [np.eye(channel.n_states)]
     for _ in range(trace.horizon):
         powers.append(powers[-1] @ channel.transition)
-    return SolvedPolicy(
-        mode="linear_decomposed",
+    return DecomposedPolicy(
         trace=trace,
         channel=channel,
         cost=cost,
         alpha=alpha,
         lam=lam,
         per_packet=per_packet,
-        _powers=powers,
+        powers=powers,
     )
 
 
@@ -656,14 +664,13 @@ def solve_convex(
         extra=[0] * (hz + 2),
     )
     pol = SolvedPolicy(
-        mode="convex_interdependent" if interdependent else "convex_independent",
         trace=trace,
         channel=channel,
         cost=cost,
         alpha=alpha,
         lam=lam,
         table=table,
-        _idx=idx,
+        idx=idx,
     )
     # Past the last deadline everything has expired or been dropped.
     for h in range(n_h):
@@ -695,7 +702,13 @@ def solve_convex(
                     for h in range(n_h):
                         post[(pre, dmask, h)] = float(held[h])
             table.stored[t - 1] = table.visited[t]
-    return pol
+    # Off-family states that planning evaluated join the table behind the
+    # planned ones, in evaluation order, and count as extra.
+    for t in range(hz + 1):
+        table.post_values[t].update(pol._post_memo[t])
+        table.state_values[t].update(pol._state_memo[t])
+        table.extra[t] = len(pol._state_memo[t])
+    return replace(pol)  # a new instance: acting starts with empty memos
 
 
 def solve(
@@ -704,7 +717,7 @@ def solve(
     cost: CostModel,
     alpha: float,
     lam: float,
-) -> SolvedPolicy:
+) -> DecomposedPolicy | SolvedPolicy:
     """Pick the right engine for the trace and cost shape."""
     if trace.has_dependencies:
         return solve_convex(trace, channel, cost, alpha, lam, interdependent=True)
@@ -730,9 +743,9 @@ def _check_common(trace: MediaTrace, alpha: float, lam: float):
 
 def complexity_report(policy: SolvedPolicy) -> list[dict]:
     """Per-slot state and work counts next to the flat-enumeration reference."""
-    if policy.table is None:
+    if not isinstance(policy, SolvedPolicy):
         raise ValueError("complexity accounting needs a table-based policy")
-    idx = policy._idx
+    idx = policy.idx
     std = standard_dp_counts(policy.trace, policy.channel)
     rows = []
     for t in range(idx.horizon + 1):

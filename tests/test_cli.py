@@ -197,16 +197,15 @@ def test_malformed_trace_fails_cleanly(tmp_path, volatile_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_single_mode_refuses_dependent_traces(standard_dir, tmp_path, capsys):
+def test_simulate_rejects_a_single_episode(volatile_dir, capsys):
     rc = main([
-        "solve",
-        "--trace", str(standard_dir / "trace.json"),
-        "--channel", str(standard_dir / "channel.json"),
-        "--mode", "single",
-        "--out", str(tmp_path / "p.json"),
+        "simulate",
+        "--trace", str(volatile_dir / "trace.json"),
+        "--channel", str(volatile_dir / "channel.json"),
+        "--episodes", "1",
     ])
     assert rc == 1
-    assert "dependency edges" in capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
 
 
 def test_reference_gap_is_reported(tmp_path, volatile_dir, capsys):

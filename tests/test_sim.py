@@ -1,5 +1,8 @@
 """Episode mechanics, pairing, and the baseline policies."""
 
+import json
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,13 @@ from mediasched import (
     baseline_constant_channel,
     baseline_distortion_greedy,
     baseline_myopic,
+    complexity_report,
     monte_carlo,
     run_episode,
     sample_path,
     solve,
     solve_single,
+    standard_scenario,
 )
 from conftest import random_channel, random_trace, rel_close
 
@@ -197,6 +202,34 @@ def test_report_statistics():
     assert rep.stderr_utility == rep.std_utility / np.sqrt(12)
 
 
+def test_lossy_episodes_leave_the_policy_unchanged():
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pol = solve(trace, channel, cost, alpha, lam)
+    dump = json.dumps(pol.to_dump_dict())
+    report = complexity_report(pol)
+    out = monte_carlo([pol], trace, channel, cost, alpha, lam,
+                      episodes=200, loss_rate=0.1, seed=3)
+    assert json.dumps(pol.to_dump_dict()) == dump
+    assert complexity_report(pol) == report
+    # Loss feedback led off the planned family; those states are memoized on
+    # the policy, outside its table.
+    assert any(pol._state_memo)
+    fresh = solve(trace, channel, cost, alpha, lam)
+    again = monte_carlo([fresh], trace, channel, cost, alpha, lam,
+                        episodes=200, loss_rate=0.1, seed=3)
+    assert np.array_equal(out["proposed"].utilities, again["proposed"].utilities)
+
+
+@pytest.mark.parametrize("episodes", [0, 1])
+def test_monte_carlo_rejects_fewer_than_two_episodes(episodes):
+    trace = random_trace(np.random.default_rng(4), n=3, horizon=4)
+    channel = one_state_channel()
+    cost = CostModel(kind="linear")
+    pol = solve(trace, channel, cost, 0.9, 1.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        monte_carlo([pol], trace, channel, cost, 0.9, 1.0, episodes=episodes)
+
+
 def test_myopic_sends_where_the_planner_waits():
     packet = Packet(id=1, size_bits=1.0, distortion=10.0, arrival=0, deadline=3)
     trace = MediaTrace(packets=(packet,))
@@ -243,3 +276,40 @@ def test_greedy_prefix_under_convex_marginals():
     )
     # marginals 1, 2, 4 against weights 9, 5, 2: the third is not worth it
     assert pol.decide(JointState(0, frozenset({1, 2, 3}), (), 0)) == [1, 2]
+
+
+def test_greedy_candidates_match_their_definition():
+    # With a vanishing lambda every candidate is profitable, so decide returns
+    # all of them: the pending packets whose parents are all delivered, either
+    # recorded delivered after expiry or live and no longer pending.
+    rng = np.random.default_rng(21)
+    states = starved = 0
+    for _ in range(40):
+        trace = random_trace(rng, deps=True)
+        pol = baseline_distortion_greedy(
+            trace, one_state_channel(), CostModel(kind="linear"), 1e-12
+        )
+        for t in range(trace.horizon + 1):
+            live = sorted(trace.live(t))
+            record = sorted(
+                p.id for p in trace.packets
+                if p.deadline < t and any(c in live for c in trace.children[p.id])
+            )
+            for bits in product((False, True), repeat=len(live)):
+                pending = frozenset(pid for pid, b in zip(live, bits) if b)
+                for flags in product((False, True), repeat=len(record)):
+                    deps = dict(zip(record, flags))
+                    want = []
+                    for pid in pending:
+                        parents = trace.by_id[pid].parents
+                        ok = all(
+                            deps[q] if q in deps else q not in pending for q in parents
+                        )
+                        starved += not ok and not parents & pending
+                        if ok:
+                            want.append(pid)
+                    want.sort(key=lambda pid: (-trace.by_id[pid].distortion, pid))
+                    got = pol.decide(JointState(t, pending, tuple(deps.items()), 0))
+                    assert got == want
+                    states += 1
+    assert states > 1000 and starved > 0

@@ -11,7 +11,6 @@ from mediasched import (
     MediaTrace,
     Packet,
     UnsupportedTraceError,
-    act_travelling,
     advance_state,
     build_state_tree,
     complexity_report,
@@ -215,17 +214,6 @@ def test_solve_picks_engine():
     assert solve(free, channel, CostModel(kind="linear"), 0.9, 1.0).mode == "linear_decomposed"
     assert solve(free, channel, CostModel(kind="convex"), 0.9, 1.0).mode == "convex_independent"
     assert solve(dep, channel, CostModel(kind="linear"), 0.9, 1.0).mode == "convex_interdependent"
-
-
-def test_act_travelling_dispatch():
-    free = random_trace(np.random.default_rng(4), uniform=True)
-    channel = flat_channel()
-    lin = solve_linear(free, channel, CostModel(kind="linear"), 0.9, 1.0)
-    with pytest.raises(ValueError, match="per packet"):
-        act_travelling(lin, JointState(0, free.live(0), (), 0))
-    conv = solve_convex(free, channel, CostModel(kind="convex"), 0.9, 1.0)
-    state = JointState(0, free.live(0), (), 0)
-    assert act_travelling(conv, state) == conv.decide(state)
 
 
 # -- one packet matches the stopping rule ----------------------------------------

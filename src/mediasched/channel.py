@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,16 +160,45 @@ def dump_channel(model: ChannelModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _cdf(p) -> list[float]:
+    """Cumulative row normalised by its total, as Generator.choice builds it.
+
+    Entries are clipped at zero first, so a row that passed validation
+    (within its tolerances) always samples instead of being refused.
+    """
+    c = np.cumsum(np.maximum(np.asarray(p, dtype=float), 0.0))
+    if not c[-1] > 0.0:
+        raise ValueError("probability row has no positive mass")
+    return (c / c[-1]).tolist()
+
+
+def path_sampler(model: ChannelModel):
+    """Return sample(horizon, seed), which draws what sample_path draws.
+
+    The cumulative rows are built once here. Each path still comes from its
+    own default_rng(seed): one uniform per slot, inverted through the row of
+    the previous state, which is exactly the draw rng.choice(n, p=row) makes.
+    """
+    first = _cdf(model.initial)
+    rows = [_cdf(row) for row in model.transition]
+
+    def sample(horizon: int, seed: int) -> list[int]:
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        u = np.random.default_rng(seed).random(horizon + 1).tolist()
+        h = bisect_right(first, u[0])
+        path = [h]
+        for x in u[1:]:
+            h = bisect_right(rows[h], x)
+            path.append(h)
+        return path
+
+    return sample
+
+
 def sample_path(model: ChannelModel, horizon: int, seed: int) -> list[int]:
     """Draw a state-id path of length horizon + 1 (one id per slot)."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    rng = np.random.default_rng(seed)
-    n = model.n_states
-    path = [int(rng.choice(n, p=model.initial))]
-    for _ in range(horizon):
-        path.append(int(rng.choice(n, p=model.transition[path[-1]])))
-    return path
+    return path_sampler(model)(horizon, seed)
 
 
 # ---------------------------------------------------------------------------

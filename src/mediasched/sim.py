@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, CostModel, averaged_channel, sample_path
-from .media import MediaTrace, ancestors
-from .solver import (
-    DecomposedPolicy, JointState, SolvedPolicy, _advance, _index_for, solve, solve_convex
-)
+from .channel import ChannelModel, CostModel, averaged_channel, path_sampler
+from .media import MediaTrace
+from .solver import DecomposedPolicy, JointState, SolvedPolicy, _index_for, solve, solve_convex
 
 
 @dataclass(frozen=True)
@@ -66,33 +64,39 @@ def run_episode(
         raise ValueError("loss_rate must lie in [0, 1)")
     rng = np.random.default_rng(seed) if loss_rate > 0.0 else None
 
-    state = JointState(0, trace.live(0), (), channel_path[0])
+    # The loop carries masks; a JointState is built only for policy.decide.
+    pending, dmask = idx.live_mask[0], 0
     delivered_slot: dict[int, int] = {}
     log = []
     total_cost = 0.0
     for t in range(hz + 1):
-        pending, dmask = idx.state_masks(state)
-        attempted = policy.decide(state)
+        h = channel_path[t]
+        attempted = tuple(policy.decide(idx.joint_state(t, pending, dmask, h)))
         attempt_mask = idx.mask_of(attempted)
         if attempt_mask & ~pending:
             raise ValueError(f"{policy.name} attempted packets outside pending")
-        slot_cost = idx.batch_cost(attempt_mask, channel.states[state.channel], cost)
+        slot_cost = idx.batch_cost(attempt_mask, channel.states[h], cost)
         total_cost += alpha**t * slot_cost
         if rng is None:
-            got = list(attempted)
+            got = attempted
         else:
-            got = [pid for pid in attempted if rng.random() >= loss_rate]
+            # One uniform per attempted packet, in emission order.
+            draws = rng.random(len(attempted)).tolist()
+            got = tuple(pid for pid, u in zip(attempted, draws) if u >= loss_rate)
         for pid in got:
             delivered_slot[pid] = t
-        log.append(SlotLog(t, state.channel, tuple(attempted), tuple(got), slot_cost))
+        log.append(SlotLog(t, h, attempted, got, slot_cost))
         if t < hz:
-            state = _advance(idx, t, pending, dmask, idx.mask_of(got), channel_path[t + 1])
+            pending, dmask = idx.step(t, pending, dmask, idx.mask_of(got))
 
-    decodable = {
-        pid
-        for pid in delivered_slot
-        if all(a in delivered_slot for a in ancestors(trace, pid))
-    }
+    # In topological order a packet decodes once it and its parents decoded,
+    # which is the same as it and all its ancestors delivered.
+    delivered = idx.mask_of(delivered_slot)
+    decoded = 0
+    for i in idx.topo:
+        if delivered >> i & 1 and not idx.parent_mask[i] & ~decoded:
+            decoded |= 1 << i
+    decodable = {pid for pid in delivered_slot if decoded >> idx.pos[pid] & 1}
     gain = sum(alpha ** delivered_slot[pid] * trace.by_id[pid].distortion for pid in decodable)
     return EpisodeResult(
         utility=gain - lam * total_cost,
@@ -141,8 +145,11 @@ def monte_carlo(
         raise ValueError("episodes must be at least 2 for a sample std")
     acc = {p.name: ([], [], [], []) for p in policies}
     hz = trace.horizon
+    sample = path_sampler(channel)
+    # One generator per episode, as sample_path seeds it, so a path depends
+    # only on seed + i and not on how many episodes were drawn before it.
     for i in range(episodes):
-        path = sample_path(channel, hz, seed=seed + i)
+        path = sample(hz, seed + i)
         for pol in policies:
             res = run_episode(
                 pol,

@@ -27,7 +27,8 @@ enumeration; states sitting outside it (reachable only through dependency
 starvation, or through external loss feedback during simulation) are
 evaluated lazily on demand. Those met while planning join the table and are
 tallied as extra; those met while acting go to per-slot memos on the policy,
-so acting never changes a solved table.
+so acting never changes a solved table. Every state value is stored with the
+emission order its root walk chose, so deciding in a known state is a lookup.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class JointState:
 class ValueTable:
     """Per-slot value maps plus the counters frozen at solve time."""
 
-    # state_values[t]: (pending mask, dep mask, h) -> slot value
+    # state_values[t]: (pending mask, dep mask, h) -> (slot value, emission ids)
     state_values: list[dict]
     # post_values[t]: (stripped pending mask, next dep mask, h) -> hold value
     post_values: list[dict]
@@ -165,6 +166,13 @@ class _TraceIndex:
         self.dep_index = [
             {pos: b for b, pos in enumerate(slot)} for slot in self.dep_slots
         ]
+        # dep_record[t]: (packet id, record bit) sorted by id, the order of
+        # JointState.deps; dep_ids[t]: the ids alone.
+        self.dep_record = [
+            tuple(sorted((self.ids[pos], b) for b, pos in enumerate(slot)))
+            for slot in self.dep_slots
+        ]
+        self.dep_ids = [tuple(pid for pid, _ in rec) for rec in self.dep_record]
         # carry[t]: (next bit, current bit); fresh[t]: (next bit, packet pos)
         self.dep_carry: list[list[tuple[int, int]]] = [[] for _ in range(hz + 1)]
         self.dep_fresh: list[list[tuple[int, int]]] = [[] for _ in range(hz + 1)]
@@ -178,6 +186,12 @@ class _TraceIndex:
                     self.dep_fresh[t].append((b, pos))
 
     # -- state helpers ------------------------------------------------------
+
+    def step(self, t: int, pending: int, dmask: int, delivered: int) -> tuple[int, int]:
+        """Pending and record masks of slot t + 1 once delivered leaves pending."""
+        stripped = pending & ~delivered & ~self.expire_mask[t]
+        nxt_pending = stripped | (self.arrive_mask[t + 1] if t + 1 <= self.horizon else 0)
+        return nxt_pending, self.dep_after(t, dmask, pending, delivered)
 
     def dep_after(self, t: int, dmask: int, pending: int, tx: int) -> int:
         out = 0
@@ -281,11 +295,11 @@ class _TraceIndex:
         pending = self.mask_of(state.pending)
         if pending & ~self.live_mask[t]:
             raise ValueError("pending contains packets not live at this slot")
-        expected = tuple(self.ids[p] for p in self.dep_slots[t])
-        got = tuple(pid for pid, _ in state.deps)
-        if tuple(sorted(got)) != tuple(sorted(expected)):
+        expected = self.dep_ids[t]
+        got = sorted(pid for pid, _ in state.deps)
+        if tuple(got) != expected:
             raise ValueError(
-                f"dependency record must cover exactly {sorted(expected)}, got {sorted(got)}"
+                f"dependency record must cover exactly {list(expected)}, got {got}"
             )
         dmask = 0
         index = self.dep_index[t]
@@ -294,11 +308,10 @@ class _TraceIndex:
         return pending, dmask
 
     def deps_tuple(self, t: int, dmask: int) -> tuple[tuple[int, bool], ...]:
-        pairs = [
-            (self.ids[pos], bool(dmask >> b & 1))
-            for b, pos in enumerate(self.dep_slots[t])
-        ]
-        return tuple(sorted(pairs))
+        return tuple((pid, bool(dmask >> b & 1)) for pid, b in self.dep_record[t])
+
+    def joint_state(self, t: int, pending: int, dmask: int, h: int) -> JointState:
+        return JointState(t, self.ids_of(pending), self.deps_tuple(t, dmask), h)
 
 
 @lru_cache(maxsize=32)
@@ -324,21 +337,7 @@ def advance_state(
     tx = idx.mask_of(transmitted)
     if not idx.feasible_batch(state.t, pending, dmask, tx):
         raise ValueError("transmitted set is not a legal emission for this state")
-    return _advance(idx, state.t, pending, dmask, tx, next_channel)
-
-
-def _advance(
-    idx: _TraceIndex, t: int, pending: int, dmask: int, delivered: int, next_channel: int
-) -> JointState:
-    stripped = pending & ~delivered & ~idx.expire_mask[t]
-    nxt_pending = stripped | (idx.arrive_mask[t + 1] if t + 1 <= idx.horizon else 0)
-    nxt_dmask = idx.dep_after(t, dmask, pending, delivered)
-    return JointState(
-        t=t + 1,
-        pending=idx.ids_of(nxt_pending),
-        deps=idx.deps_tuple(t + 1, nxt_dmask),
-        channel=next_channel,
-    )
+    return idx.joint_state(state.t + 1, *idx.step(state.t, pending, dmask, tx), next_channel)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +442,11 @@ class SolvedPolicy(_Policy):
     def decide(self, state: JointState) -> list[int]:
         """Ordered packet ids to emit in state.t."""
         pending, dmask = self.idx.state_masks(state)
-        _, tx_order = _greedy(self, state.t, pending, dmask, state.channel)
-        return tx_order
+        return list(_state_entry(self, state.t, pending, dmask, state.channel)[1])
 
     def state_value(self, state: JointState) -> float:
         pending, dmask = self.idx.state_masks(state)
-        return _state_value(self, state.t, pending, dmask, state.channel)
+        return _state_entry(self, state.t, pending, dmask, state.channel)[0]
 
     def canonical_post_items(self, t: int) -> dict[str, float]:
         idx = self.idx
@@ -498,26 +496,28 @@ def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx:
     total = 0.0
     for h2 in range(pol.channel.n_states):
         if row[h2] > 0.0:
-            total += row[h2] * _state_value(pol, t + 1, nxt_pending, nxt_dmask, h2)
+            total += row[h2] * _state_entry(pol, t + 1, nxt_pending, nxt_dmask, h2)[0]
     value = pol.alpha * total
     pol._post_memo[t][key] = value
     return value
 
 
-def _state_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int) -> float:
+def _state_entry(
+    pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int
+) -> tuple[float, tuple[int, ...]]:
+    """Slot value and emission order, from the table, the memo or one root walk."""
     if t > pol.idx.horizon:
         if pending:
             raise SolverError("pending packets past the horizon")
-        return 0.0
+        return 0.0, ()
     key = (pending, dmask, h)
     hit = pol.table.state_values[t].get(key)
     if hit is None:
         hit = pol._state_memo[t].get(key)
-    if hit is not None:
-        return hit
-    value, _ = _greedy(pol, t, pending, dmask, h)
-    pol._state_memo[t][key] = value
-    return value
+    if hit is None:
+        hit = _greedy(pol, t, pending, dmask, h)
+        pol._state_memo[t][key] = hit
+    return hit
 
 
 def _greedy(
@@ -527,7 +527,7 @@ def _greedy(
     dmask: int,
     h: int,
     counter: list | None = None,
-) -> tuple[float, list[int]]:
+) -> tuple[float, tuple[int, ...]]:
     """Resolve one slot at (pending, dmask, h): emission order and slot value.
 
     Walks root by root to graph exhaustion, then keeps the shortest prefix
@@ -588,7 +588,7 @@ def _greedy(
         order.append(idx.ids[pos])
     end_hold = chain[cut - 1][1] if cut else _post_value(pol, t, pending, dmask, h, 0)
     value = total_q - pol.lam * idx.batch_cost(tx, state, pol.cost) + end_hold
-    return value, order
+    return value, tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +686,9 @@ def solve_convex(
             pending = pre | arriving
             for dmask in range(1 << n_dep):
                 for h in range(n_h):
-                    value, _ = _greedy(pol, t, pending, dmask, h, counter)
-                    table.state_values[t][(pending, dmask, h)] = value
+                    table.state_values[t][(pending, dmask, h)] = _greedy(
+                        pol, t, pending, dmask, h, counter
+                    )
         table.comparisons[t] = counter[0]
         table.visited[t] = n_h * (1 << n_dep) * (len(pre_sets) - 1)
         if t > 0:
@@ -696,7 +697,7 @@ def solve_convex(
                 pending = pre | arriving
                 for dmask in range(1 << n_dep):
                     future = np.array(
-                        [table.state_values[t][(pending, dmask, h)] for h in range(n_h)]
+                        [table.state_values[t][(pending, dmask, h)][0] for h in range(n_h)]
                     )
                     held = alpha * (transition @ future)
                     for h in range(n_h):

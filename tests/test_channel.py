@@ -8,6 +8,7 @@ import sys
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mediasched
 
@@ -24,6 +25,7 @@ from mediasched import (
     load_channel,
     marginal_cost,
     sample_path,
+    standard_scenario,
     validate_channel,
 )
 from conftest import random_channel
@@ -159,6 +161,59 @@ def test_sample_path_respects_support():
         initial=np.array([1.0, 0.0]),
     )
     assert sample_path(model, 5, seed=0) == [0, 1, 0, 1, 0, 1]
+
+
+def choice_walk(model, horizon, seed):
+    """Reference sampler: one rng.choice per slot, as paths were first drawn."""
+    rng = np.random.default_rng(seed)
+    n = model.n_states
+    path = [int(rng.choice(n, p=model.initial))]
+    for _ in range(horizon):
+        path.append(int(rng.choice(n, p=model.transition[path[-1]])))
+    return path
+
+
+@st.composite
+def stochastic_rows(draw, n_rows, n):
+    """Rows of n weights, some exactly zero, normalised to sum to one."""
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = []
+    for _ in range(n_rows):
+        row = draw(st.lists(weight, min_size=n, max_size=n).filter(lambda r: sum(r) > 0))
+        rows.append(np.array(row) / sum(row))
+    return np.array(rows)
+
+
+@st.composite
+def channels(draw):
+    n = draw(st.integers(1, 5))
+    return ChannelModel(
+        states=tuple(ChannelState(id=i, gain=1.0, rate=1.0, loss_prob=0.0) for i in range(n)),
+        transition=draw(stochastic_rows(n, n)),
+        initial=draw(stochastic_rows(1, n))[0],
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(channels(), st.integers(0, 40), st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+def test_sample_path_draws_what_rng_choice_draws(model, horizon, seeds):
+    for seed in seeds:
+        assert sample_path(model, horizon, seed) == choice_walk(model, horizon, seed)
+
+
+@pytest.mark.parametrize("row", [[0.5999999, 0.4], [-1e-10, 1.0 + 1e-10]])
+def test_rows_within_the_validation_tolerance_sample(row):
+    # rng.choice refuses rows off one by more than about 1.5e-8 and any
+    # negative entry; validation accepts 1e-6 and -1e-9.
+    trace, channel, *_ = standard_scenario()
+    tr = channel.transition.copy()
+    tr[0] = row
+    model = ChannelModel(states=channel.states, transition=tr, initial=channel.initial)
+    assert validate_channel(model) == []
+    path = sample_path(model, 200, seed=3)
+    assert len(path) == 201 and set(path) <= {0, 1}
+    if row[0] < 0:
+        assert all(b == 1 for a, b in zip(path, path[1:]) if a == 0)
 
 
 def test_cost_values():

@@ -208,6 +208,25 @@ def test_simulate_rejects_a_single_episode(volatile_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_accepts_a_row_inside_the_validation_tolerance(standard_dir, capsys):
+    # The row sums to 0.9999999: it validates, so it must sample too.
+    channel = standard_dir / "channel.json"
+    doc = json.loads(channel.read_text())
+    doc["transition"][0] = [0.5999999, 0.4]
+    channel.write_text(json.dumps(doc))
+    rc = main([
+        "simulate",
+        "--trace", str(standard_dir / "trace.json"),
+        "--channel", str(channel),
+        "--cost", "convex",
+        "--alpha", "0.9",
+        "--episodes", "20",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "over 20 episodes" in captured.out
+
+
 def test_reference_gap_is_reported(tmp_path, volatile_dir, capsys):
     trace = MediaTrace(packets=(
         Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=1),

@@ -13,6 +13,7 @@ from mediasched import (
     JointState,
     MediaTrace,
     Packet,
+    advance_state,
     ancestors,
     baseline_constant_channel,
     baseline_distortion_greedy,
@@ -25,6 +26,7 @@ from mediasched import (
     solve_single,
     standard_scenario,
 )
+from mediasched import solver
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -218,6 +220,76 @@ def test_lossy_episodes_leave_the_policy_unchanged():
     again = monte_carlo([fresh], trace, channel, cost, alpha, lam,
                         episodes=200, loss_rate=0.1, seed=3)
     assert np.array_equal(out["proposed"].utilities, again["proposed"].utilities)
+
+
+class Recorder:
+    """Forwards decide to a policy and keeps every state it was shown."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.states = []
+
+    def decide(self, state):
+        self.states.append(state)
+        return self.inner.decide(state)
+
+
+def test_episodes_hand_decide_the_states_advance_state_produces():
+    # advance_state takes only legal emissions, so a slot where loss let a
+    # child through without its live parent is skipped; both kinds occur.
+    rng = np.random.default_rng(31)
+    checked = lossy = 0
+    for k in range(30):
+        trace = random_trace(rng, deps=k % 3 != 0, uniform=True)
+        channel = random_channel(rng)
+        cost = CostModel(kind="convex", slot_duration=2.0)
+        rec = Recorder(solve(trace, channel, cost, 0.9, 0.5))
+        for seed in range(4):
+            rec.states.clear()
+            path = sample_path(channel, trace.horizon, seed=seed)
+            res = run_episode(rec, trace, channel, path, cost, 0.9, 0.5,
+                              loss_rate=0.3, seed=seed)
+            assert rec.states[0] == JointState(0, trace.live(0), (), path[0])
+            for slot, state, nxt in zip(res.log, rec.states, rec.states[1:]):
+                try:
+                    want = advance_state(state, slot.delivered, path[slot.t + 1], trace)
+                except ValueError:
+                    continue
+                assert nxt == want
+                checked += 1
+                lossy += slot.delivered != slot.attempted
+    assert checked > 500 and lossy > 50
+
+
+def test_planned_decides_are_one_lookup(monkeypatch):
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pol = solve(trace, channel, cost, alpha, lam)
+    rec = Recorder(pol)
+    masks = []
+    walks = []
+    state_masks = solver._TraceIndex.state_masks
+    greedy = solver._greedy
+
+    def counting_state_masks(self, state):
+        masks.append(state)
+        return state_masks(self, state)
+
+    def counting_greedy(p, t, pending, dmask, h, counter=None):
+        walks.append((t, (pending, dmask, h)))
+        return greedy(p, t, pending, dmask, h, counter)
+
+    monkeypatch.setattr(solver._TraceIndex, "state_masks", counting_state_masks)
+    monkeypatch.setattr(solver, "_greedy", counting_greedy)
+    monte_carlo([rec], trace, channel, cost, alpha, lam,
+                episodes=200, loss_rate=0.1, seed=3)
+    # One conversion per decide and none from the episode loop.
+    assert len(rec.states) == (trace.horizon + 1) * 200
+    assert masks == rec.states
+    # Planned states are looked up; only off-plan states are walked, once each.
+    assert walks
+    assert all(key not in pol.table.state_values[t] for t, key in walks)
+    assert len(set(walks)) == len(walks) == sum(map(len, pol._state_memo))
 
 
 @pytest.mark.parametrize("episodes", [0, 1])

@@ -14,6 +14,7 @@ from mediasched import (
     advance_state,
     build_state_tree,
     complexity_report,
+    monte_carlo,
     priority_pairs,
     reachable_states,
     solve,
@@ -23,7 +24,7 @@ from mediasched import (
     solve_single,
     standard_dp_counts,
 )
-from mediasched.solver import _TraceIndex
+from mediasched.solver import _TraceIndex, _greedy
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -312,6 +313,28 @@ def test_emitted_packets_are_roots_at_selection():
                     (a, pid) in pairs for a in remaining if a != pid
                 ), f"{pid} emitted while outranked in {state}"
                 remaining.discard(pid)
+
+
+def test_decide_returns_the_walk_stored_with_each_value():
+    # Planned states, and off-plan states that loss feedback led to: decide
+    # must give what a fresh root walk gives.
+    rng = np.random.default_rng(12)
+    off_plan = 0
+    for _ in range(12):
+        trace = random_trace(rng, deps=True, uniform=True)
+        channel = random_channel(rng)
+        cost = CostModel(kind="convex", slot_duration=2.0)
+        pol = solve_convex(trace, channel, cost, 0.9, 0.5,
+                           interdependent=trace.has_dependencies)
+        monte_carlo([pol], trace, channel, cost, 0.9, 0.5,
+                    episodes=20, loss_rate=0.3, seed=5)
+        off_plan += sum(map(len, pol._state_memo))
+        idx = pol.idx
+        for t in range(trace.horizon + 1):
+            for pending, dmask, h in [*pol.table.state_values[t], *pol._state_memo[t]]:
+                state = JointState(t, idx.ids_of(pending), idx.deps_tuple(t, dmask), h)
+                assert pol.decide(state) == list(_greedy(pol, t, pending, dmask, h)[1])
+    assert off_plan > 0
 
 
 # -- counters ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These trade time for trust: they enumerate entire state and action spaces
 with no pruning and no shared structure with the production recursion
-beyond the state transition itself, so agreement is meaningful evidence.
+beyond the state encoding and transition (_TraceIndex) and the policy base,
+so agreement is meaningful evidence.
 
 solve_exhaustive runs backward induction over every (slot, pending subset,
 dependency record, channel state) combination, reachable or not, taking the
@@ -20,73 +21,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, CostModel
-from .media import MediaTrace, Packet, validate_trace, TraceValidationError
-from .solver import JointState, _index_for, _check_common
+from .media import MediaTrace, Packet
+from .solver import JointState, _Policy, _TraceIndex, _check_common, _index_for
 
 # Each extra packet roughly triples the exhaustive run time.
 MAX_EXHAUSTIVE_PACKETS = 14
 
 
 @dataclass(eq=False)
-class ExhaustiveSolution:
-    trace: MediaTrace
-    channel: ChannelModel
-    cost: CostModel
-    alpha: float
-    lam: float
-    # values[t]: (pending mask, dep mask) -> ndarray over channel states
+class ExhaustiveSolution(_Policy):
+    """Value and best batch of every state, from solve_exhaustive."""
+
+    idx: _TraceIndex
+    # values[t]: (pending mask, record mask) -> ndarray over channel states
     values: list[dict]
-    # actions[t]: (pending mask, dep mask, h) -> transmit mask
+    # actions[t]: (pending mask, record mask, h) -> transmit mask
     actions: list[dict]
     states_enumerated: list[int]
     actions_evaluated: list[int]
-    name: str = "oracle"
+
+    name = "oracle"
+    mode = "exhaustive"
 
     def decide(self, state: JointState) -> list[int]:
-        idx = _index_for(self.trace)
+        idx = self.idx
         pending, dmask = idx.state_masks(state)
         tx = self.actions[state.t][(pending, dmask, state.channel)]
         return [idx.ids[i] for i in idx.topo if tx >> i & 1]
 
     def state_value(self, state: JointState) -> float:
-        idx = _index_for(self.trace)
-        pending, dmask = idx.state_masks(state)
+        pending, dmask = self.idx.state_masks(state)
         return float(self.values[state.t][(pending, dmask)][state.channel])
 
-    def initial_values(self) -> np.ndarray:
-        idx = _index_for(self.trace)
-        return self.values[0][(idx.arrive_mask[0], 0)].copy()
-
-    def expected_initial_value(self) -> float:
-        return float(self.channel.initial @ self.initial_values())
-
-    def to_dump_dict(self) -> dict:
-        idx = _index_for(self.trace)
-        slots = []
-        for t in range(idx.horizon + 1):
-            items = {}
-            for (bmask, dmask), vec in self.values[t].items():
-                ids = ",".join(str(x) for x in sorted(idx.ids_of(bmask)))
-                deps = ",".join(
-                    f"{pid}:{int(bit)}" for pid, bit in idx.deps_tuple(t, dmask)
-                )
-                for h in range(self.channel.n_states):
-                    items[f"B={ids}|D={deps}|h={h}"] = float(vec[h])
-            slots.append(
+    def _dump_tables(self) -> dict:
+        label = self.idx.label
+        return {
+            "slots": [
                 {
                     "t": t,
                     "states_enumerated": self.states_enumerated[t],
                     "actions_evaluated": self.actions_evaluated[t],
-                    "values": items,
+                    "values": {
+                        label(t, bmask, dmask, h): float(vec[h])
+                        for (bmask, dmask), vec in self.values[t].items()
+                        for h in range(self.channel.n_states)
+                    },
                 }
-            )
-        return {
-            "engine": "exhaustive",
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "cost": self.cost.kind,
-            "initial_values": [float(x) for x in self.initial_values()],
-            "slots": slots,
+                for t in range(self.idx.horizon + 1)
+            ]
         }
 
 
@@ -108,15 +90,11 @@ def solve_exhaustive(
     max_packets: int = MAX_EXHAUSTIVE_PACKETS,
 ) -> ExhaustiveSolution:
     """Optimal values over the full state space, no reachability pruning."""
-    _check_common(trace, alpha, lam)
+    _check_common(trace, alpha, lam, require_uniform_size=cost.kind == "convex")
     if len(trace.packets) > max_packets:
         raise ValueError(
             f"{len(trace.packets)} packets exceed the exhaustive limit {max_packets}"
         )
-    if cost.kind == "convex":
-        bad = validate_trace(trace, require_uniform_size=True)
-        if bad:
-            raise TraceValidationError(bad)
 
     idx = _index_for(trace)
     hz = idx.horizon
@@ -130,10 +108,9 @@ def solve_exhaustive(
 
     for t in range(hz, -1, -1):
         live = idx.live_mask[t]
-        n_dep = len(idx.dep_slots[t])
-        states_enumerated[t] = n_h * (1 << n_dep) * (1 << bin(live).count("1"))
+        states_enumerated[t] = n_h * (1 << idx.dep_mask[t].bit_count()) * (1 << live.bit_count())
         for pending in _subsets(live):
-            for dmask in range(1 << n_dep):
+            for dmask in idx.records(t):
                 sched = idx.schedulable(t, pending, dmask)
                 best = np.full(n_h, -np.inf)
                 best_tx = [0] * n_h
@@ -150,11 +127,7 @@ def solve_exhaustive(
                     if not feasible:
                         continue
                     n_batches += 1
-                    nxt_pending = (pending & ~tx & ~idx.expire_mask[t]) | (
-                        idx.arrive_mask[t + 1] if t + 1 <= hz else 0
-                    )
-                    nxt_dmask = idx.dep_after(t, dmask, pending, tx)
-                    cont = alpha * (transition @ values[t + 1][(nxt_pending, nxt_dmask)])
+                    cont = alpha * (transition @ values[t + 1][idx.step(t, pending, dmask, tx)])
                     gain = 0.0
                     mm = tx
                     while mm:
@@ -180,6 +153,7 @@ def solve_exhaustive(
         cost=cost,
         alpha=alpha,
         lam=lam,
+        idx=idx,
         values=values,
         actions=actions,
         states_enumerated=states_enumerated,

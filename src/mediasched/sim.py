@@ -188,9 +188,7 @@ def baseline_myopic(
     trace: MediaTrace, channel: ChannelModel, cost: CostModel, lam: float
 ) -> SolvedPolicy:
     """Zero lookahead: the same slot rule with all continuation values at zero."""
-    pol = solve_convex(
-        trace, channel, cost, 0.0, lam, interdependent=trace.has_dependencies
-    )
+    pol = solve_convex(trace, channel, cost, 0.0, lam)
     pol.name = "myopic"
     return pol
 
@@ -209,8 +207,11 @@ class DistortionGreedyPolicy:
     lam: float
     name: str = "greedy"
 
+    def __post_init__(self):
+        self.idx = _index_for(self.trace)
+
     def decide(self, state: JointState) -> list[int]:
-        idx = _index_for(self.trace)
+        idx = self.idx
         pending, dmask = idx.state_masks(state)
         sched = idx.schedulable(state.t, pending, dmask)
         cands = [

@@ -20,6 +20,13 @@ Two engines, each with its own policy class:
   cheap parent ahead of the valuable child that repays it, so the walk
   runs the graph to exhaustion before cutting.
 
+A pending set is a bitmask over packet positions in the trace. The
+delivery record is a bitmask in the same numbering: bit i is set when the
+expired packet at position i was delivered. Only the positions in
+_TraceIndex.dep_mask[t] (expired packets some live packet still references)
+appear in slot t's record, so the records of slot t are the submasks of that
+mask. _TraceIndex is the one place that reads or writes this encoding.
+
 Post-decision values are keyed by the stripped pending set (expiring
 packets removed), the dependency record already advanced to the next slot,
 and the current channel state. The planned key family follows the per-slot
@@ -118,7 +125,7 @@ class _TraceIndex:
             for t in range(self.arrival[i], self.deadline[i] + 1):
                 self.live_mask[t] |= 1 << i
 
-        self._build_dep_slots()
+        self._build_dep_masks()
         self.cert_pred = outranked_by(trace, self.ids)
         self.aux_pred = arrival_ordered(trace, self.ids, self.cert_pred)
         self._tree_cache: dict[int, list[int]] = {}
@@ -138,7 +145,7 @@ class _TraceIndex:
             raise TraceValidationError(["dependency cycle"])
         return order
 
-    def _build_dep_slots(self):
+    def _build_dep_masks(self):
         """Per slot, the expired packets whose delivery state still matters."""
         hz = self.horizon
         members: list[list[int]] = [[] for _ in range(hz + 2)]
@@ -161,52 +168,44 @@ class _TraceIndex:
                 )
             for t in ts:
                 members[t].append(i)
-        self.dep_slots = [tuple(m) for m in members]
-
-        self.dep_index = [
-            {pos: b for b, pos in enumerate(slot)} for slot in self.dep_slots
-        ]
-        # dep_record[t]: (packet id, record bit) sorted by id, the order of
-        # JointState.deps; dep_ids[t]: the ids alone.
-        self.dep_record = [
-            tuple(sorted((self.ids[pos], b) for b, pos in enumerate(slot)))
-            for slot in self.dep_slots
-        ]
-        self.dep_ids = [tuple(pid for pid, _ in rec) for rec in self.dep_record]
-        # carry[t]: (next bit, current bit); fresh[t]: (next bit, packet pos)
-        self.dep_carry: list[list[tuple[int, int]]] = [[] for _ in range(hz + 1)]
-        self.dep_fresh: list[list[tuple[int, int]]] = [[] for _ in range(hz + 1)]
+        self.dep_mask = [sum(1 << i for i in m) for m in members]
         for t in range(hz + 1):
-            for b, pos in enumerate(self.dep_slots[t + 1]):
-                if pos in self.dep_index[t]:
-                    self.dep_carry[t].append((b, self.dep_index[t][pos]))
-                else:
-                    if self.deadline[pos] != t:
-                        raise SolverError("dependency record lost a referenced packet")
-                    self.dep_fresh[t].append((b, pos))
+            if self.dep_mask[t + 1] & ~self.dep_mask[t] & ~self.expire_mask[t]:
+                raise SolverError("dependency record lost a referenced packet")
+        # dep_record[t]: (packet id, position) sorted by id, the order of
+        # JointState.deps; dep_ids[t]: the ids alone.
+        self.dep_record = [tuple(sorted((self.ids[i], i) for i in m)) for m in members]
+        self.dep_ids = [tuple(pid for pid, _ in rec) for rec in self.dep_record]
 
     # -- state helpers ------------------------------------------------------
 
     def step(self, t: int, pending: int, dmask: int, delivered: int) -> tuple[int, int]:
         """Pending and record masks of slot t + 1 once delivered leaves pending."""
-        stripped = pending & ~delivered & ~self.expire_mask[t]
-        nxt_pending = stripped | (self.arrive_mask[t + 1] if t + 1 <= self.horizon else 0)
+        nxt_pending = (pending & ~delivered & ~self.expire_mask[t]) | self.arrive_mask[t + 1]
         return nxt_pending, self.dep_after(t, dmask, pending, delivered)
 
     def dep_after(self, t: int, dmask: int, pending: int, tx: int) -> int:
-        out = 0
-        for new_bit, old_bit in self.dep_carry[t]:
-            out |= (dmask >> old_bit & 1) << new_bit
-        for new_bit, pos in self.dep_fresh[t]:
-            delivered = (pending >> pos & 1) == 0 or (tx >> pos & 1) == 1
-            out |= int(delivered) << new_bit
-        return out
+        """Record of slot t + 1: carried bits, plus the packets expiring at t
+        that were delivered (no longer pending, or in tx)."""
+        keep = self.dep_mask[t + 1]
+        if not keep:
+            return 0
+        return (dmask | self.expire_mask[t] & ~(pending & ~tx)) & keep
+
+    def records(self, t: int):
+        """Every record of slot t, ascending: the submasks of dep_mask[t]."""
+        full = self.dep_mask[t]
+        sub = 0
+        while True:
+            yield sub
+            if sub == full:
+                return
+            sub = (sub - full) & full
 
     def schedulable(self, t: int, pending: int, dmask: int) -> int:
         """Packets that may legally be part of this slot's emission order."""
         if not self.has_deps:
             return pending
-        index = self.dep_index[t]
         sched = 0
         for i in self.topo:
             if not pending >> i & 1:
@@ -218,7 +217,7 @@ class _TraceIndex:
                 p = low.bit_length() - 1
                 pm ^= low
                 if self.deadline[p] < t:
-                    if not dmask >> index[p] & 1:
+                    if not dmask >> p & 1:
                         ok = False
                         break
                 elif pending >> p & 1 and not sched >> p & 1:
@@ -302,13 +301,18 @@ class _TraceIndex:
                 f"dependency record must cover exactly {list(expected)}, got {got}"
             )
         dmask = 0
-        index = self.dep_index[t]
         for pid, delivered in state.deps:
-            dmask |= int(delivered) << index[self.pos[pid]]
+            dmask |= int(delivered) << self.pos[pid]
         return pending, dmask
 
     def deps_tuple(self, t: int, dmask: int) -> tuple[tuple[int, bool], ...]:
-        return tuple((pid, bool(dmask >> b & 1)) for pid, b in self.dep_record[t])
+        return tuple((pid, bool(dmask >> p & 1)) for pid, p in self.dep_record[t])
+
+    def label(self, t: int, pending: int, dmask: int, h: int) -> str:
+        """Dump key of a state: pending ids, slot t's record and the channel."""
+        ids = ",".join(str(x) for x in sorted(self.ids_of(pending)))
+        deps = ",".join(f"{pid}:{dmask >> p & 1}" for pid, p in self.dep_record[t])
+        return f"B={ids}|D={deps}|h={h}"
 
     def joint_state(self, t: int, pending: int, dmask: int, h: int) -> JointState:
         return JointState(t, self.ids_of(pending), self.deps_tuple(t, dmask), h)
@@ -347,7 +351,7 @@ def advance_state(
 
 @dataclass(eq=False)
 class _Policy:
-    """Planning inputs, initial values and the dump header of either engine."""
+    """Planning inputs, initial values and the dump header of every engine."""
 
     trace: MediaTrace
     channel: ChannelModel
@@ -449,15 +453,11 @@ class SolvedPolicy(_Policy):
         return _state_entry(self, state.t, pending, dmask, state.channel)[0]
 
     def canonical_post_items(self, t: int) -> dict[str, float]:
-        idx = self.idx
-        out = {}
-        for (bmask, dmask, h), v in self.table.post_values[t].items():
-            ids = ",".join(str(x) for x in sorted(idx.ids_of(bmask)))
-            deps = ",".join(
-                f"{pid}:{int(bit)}" for pid, bit in idx.deps_tuple(t + 1, dmask)
-            )
-            out[f"B={ids}|D={deps}|h={h}"] = v
-        return out
+        label = self.idx.label
+        return {
+            label(t + 1, bmask, dmask, h): v
+            for (bmask, dmask, h), v in self.table.post_values[t].items()
+        }
 
     def _dump_tables(self) -> dict:
         return {
@@ -491,7 +491,7 @@ def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx:
     if hit is not None:
         return hit
     # Off the planned family: evaluate the next slot on demand.
-    nxt_pending = stripped | (idx.arrive_mask[t + 1] if t + 1 <= idx.horizon else 0)
+    nxt_pending = stripped | idx.arrive_mask[t + 1]
     row = pol.channel.transition[h]
     total = 0.0
     for h2 in range(pol.channel.n_states):
@@ -609,8 +609,8 @@ def solve_linear(
         raise ValueError("solve_linear requires the linear cost kind")
     if trace.has_dependencies:
         raise ValueError(
-            "trace has dependency edges; use solve_convex(interdependent=True) "
-            "with linear marginal costs instead"
+            "trace has dependency edges; use solve_convex, which takes linear "
+            "marginal costs too"
         )
     per_packet = {
         p.id: solve_single(p, channel, cost, alpha, lam) for p in trace.packets
@@ -635,7 +635,6 @@ def solve_convex(
     cost: CostModel,
     alpha: float,
     lam: float,
-    interdependent: bool = False,
 ) -> SolvedPolicy:
     """Backward induction over the root-peeling state family.
 
@@ -643,15 +642,7 @@ def solve_convex(
     optimality argument prices packets interchangeably within a slot.
     Heterogeneous sizes belong to the decomposed linear path.
     """
-    _check_common(trace, alpha, lam)
-    if interdependent != trace.has_dependencies:
-        raise ValueError(
-            "interdependent flag must match the presence of dependency edges"
-        )
-    bad = validate_trace(trace, require_uniform_size=True)
-    if bad:
-        raise TraceValidationError(bad)
-
+    _check_common(trace, alpha, lam, require_uniform_size=True)
     idx = _index_for(trace)
     hz = idx.horizon
     n_h = channel.n_states
@@ -679,23 +670,23 @@ def solve_convex(
     transition = channel.transition
     for t in range(hz, -1, -1):
         pre_sets = idx.aux_tree_sets(t)
-        n_dep = len(idx.dep_slots[t])
+        records = tuple(idx.records(t))
         arriving = idx.arrive_mask[t]
         counter = [0]
         for pre in pre_sets:
             pending = pre | arriving
-            for dmask in range(1 << n_dep):
+            for dmask in records:
                 for h in range(n_h):
                     table.state_values[t][(pending, dmask, h)] = _greedy(
                         pol, t, pending, dmask, h, counter
                     )
         table.comparisons[t] = counter[0]
-        table.visited[t] = n_h * (1 << n_dep) * (len(pre_sets) - 1)
+        table.visited[t] = n_h * len(records) * (len(pre_sets) - 1)
         if t > 0:
             post = table.post_values[t - 1]
             for pre in pre_sets:
                 pending = pre | arriving
-                for dmask in range(1 << n_dep):
+                for dmask in records:
                     future = np.array(
                         [table.state_values[t][(pending, dmask, h)][0] for h in range(n_h)]
                     )
@@ -720,19 +711,19 @@ def solve(
     lam: float,
 ) -> DecomposedPolicy | SolvedPolicy:
     """Pick the right engine for the trace and cost shape."""
-    if trace.has_dependencies:
-        return solve_convex(trace, channel, cost, alpha, lam, interdependent=True)
-    if cost.kind == "linear":
+    if cost.kind == "linear" and not trace.has_dependencies:
         return solve_linear(trace, channel, cost, alpha, lam)
-    return solve_convex(trace, channel, cost, alpha, lam, interdependent=False)
+    return solve_convex(trace, channel, cost, alpha, lam)
 
 
-def _check_common(trace: MediaTrace, alpha: float, lam: float):
+def _check_common(
+    trace: MediaTrace, alpha: float, lam: float, require_uniform_size: bool = False
+):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
-    bad = validate_trace(trace)
+    bad = validate_trace(trace, require_uniform_size=require_uniform_size)
     if bad:
         raise TraceValidationError(bad)
 
@@ -773,8 +764,7 @@ def standard_dp_counts(trace: MediaTrace, channel: ChannelModel) -> list[dict]:
     per_slot = []
     for t in range(idx.horizon + 1):
         n_live = bin(idx.live_mask[t]).count("1")
-        n_dep = len(idx.dep_slots[t])
-        states = n_h * (1 << n_dep) * (1 << n_live)
+        states = n_h * (1 << idx.dep_mask[t].bit_count()) * (1 << n_live)
         per_slot.append((states, states * (1 << n_live)))
     for t in range(idx.horizon + 1):
         states, comps = per_slot[t]

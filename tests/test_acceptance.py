@@ -84,8 +84,7 @@ def test_criterion_02_oracle_equivalence_interdependent_packets():
         channel = random_channel(rng)
         cost = CostModel(kind=kind, slot_duration=2.0)
         alpha = alphas[i % 4]
-        pol = solve_convex(trace, channel, cost, alpha, 1.0,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, cost, alpha, 1.0)
         ora = solve_exhaustive(trace, channel, cost, alpha, 1.0)
         assert rel_close(
             pol.expected_initial_value(), ora.expected_initial_value(), 1e-9
@@ -218,8 +217,7 @@ def test_criterion_06_per_slot_state_counts():
             continue
         accepted += 1
         channel = random_channel(rng, n_states=int(rng.integers(2, 4)))
-        pol = solve_convex(trace, channel, CostModel(kind="linear"), 0.9, 1.0,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, CostModel(kind="linear"), 0.9, 1.0)
         hz = trace.horizon
         for t in range(hz + 1):
             _, aux = reachable_states(trace, t)

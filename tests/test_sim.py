@@ -23,6 +23,7 @@ from mediasched import (
     run_episode,
     sample_path,
     solve,
+    solve_exhaustive,
     solve_single,
     standard_scenario,
 )
@@ -290,6 +291,25 @@ def test_planned_decides_are_one_lookup(monkeypatch):
     assert walks
     assert all(key not in pol.table.state_values[t] for t, key in walks)
     assert len(set(walks)) == len(walks) == sum(map(len, pol._state_memo))
+
+
+def test_greedy_and_oracle_keep_their_trace_index():
+    # The index lookup hashes the whole trace, so a policy holds its index
+    # instead of looking it up per decide.
+    trace, channel, cost, alpha, lam = standard_scenario()
+    path = sample_path(channel, trace.horizon, seed=2)
+    oracle = solve_exhaustive(trace, channel, cost, alpha, lam)
+    for pol in (baseline_distortion_greedy(trace, channel, cost, lam), oracle):
+        rec = Recorder(pol)
+        run_episode(rec, trace, channel, path, cost, alpha, lam, loss_rate=0.2, seed=2)
+        before = solver._index_for.cache_info()
+        for state in rec.states:
+            pol.decide(state)
+        assert solver._index_for.cache_info() == before
+    for state in rec.states:
+        oracle.state_value(state)
+    oracle.to_dump_dict()
+    assert solver._index_for.cache_info() == before
 
 
 @pytest.mark.parametrize("episodes", [0, 1])

@@ -126,13 +126,70 @@ def test_state_validation_messages():
         advance_state(JointState(0, frozenset({1}), (), 0), [77], 0, trace)
 
 
-def test_dep_slots_match_the_definition():
+def test_records_match_the_definition():
+    # A record holds packet position i in bit i, as pending does. Each slot's
+    # records are every subset of its referenced expired packets, ascending,
+    # and state_masks reads back what deps_tuple writes.
     rng = np.random.default_rng(43)
+    nonempty = 0
     for _ in range(200):
         trace = random_trace(rng, n=int(rng.integers(2, 10)), deps=True)
         idx = _TraceIndex(trace)
         for t in range(trace.horizon + 2):
-            assert sorted(idx.ids[i] for i in idx.dep_slots[t]) == dep_members(trace, t)
+            members = dep_members(trace, t)
+            assert sorted(idx.ids_of(idx.dep_mask[t])) == members
+            bits = [1 << idx.pos[pid] for pid in members]
+            subsets = sorted(
+                sum(b for k, b in enumerate(bits) if pick >> k & 1)
+                for pick in range(1 << len(bits))
+            )
+            assert list(idx.records(t)) == subsets
+            nonempty += len(subsets) > 1
+            if t > trace.horizon:
+                continue
+            live = idx.ids_of(idx.live_mask[t])
+            for dmask in subsets:
+                deps = idx.deps_tuple(t, dmask)
+                assert deps == tuple(
+                    (pid, bool(dmask >> idx.pos[pid] & 1)) for pid in members
+                )
+                assert idx.state_masks(JointState(t, live, deps, 0)) == (
+                    idx.live_mask[t], dmask
+                )
+    assert nonempty > 100
+
+
+def test_step_record_matches_the_definition():
+    # A bit already recorded is kept; a packet expiring now counts as
+    # delivered when it is no longer pending or is sent in this slot.
+    rng = np.random.default_rng(44)
+    fresh = 0
+    for _ in range(150):
+        trace = random_trace(rng, n=int(rng.integers(2, 8)), deps=True)
+        idx = _TraceIndex(trace)
+        for t in range(trace.horizon + 1):
+            old = dep_members(trace, t)
+            for dmask in idx.records(t):
+                for _ in range(4):
+                    pending = int(rng.integers(0, 1 << idx.n)) & idx.live_mask[t]
+                    tx = int(rng.integers(0, 1 << idx.n)) & pending
+                    nxt_pending, nxt = idx.step(t, pending, dmask, tx)
+                    want = []
+                    for pid in dep_members(trace, t + 1):
+                        i = idx.pos[pid]
+                        if pid in old:
+                            bit = bool(dmask >> i & 1)
+                        else:
+                            fresh += 1
+                            bit = not pending >> i & 1 or bool(tx >> i & 1)
+                        want.append((pid, bit))
+                    assert idx.deps_tuple(t + 1, nxt) == tuple(want)
+                    assert not nxt & ~idx.dep_mask[t + 1]
+                    assert idx.ids_of(nxt_pending) == (
+                        (idx.ids_of(pending & ~tx) & trace.live(t + 1))
+                        | trace.arrivals(t + 1)
+                    )
+    assert fresh > 500
 
 
 def test_gapped_reference_window_is_refused():
@@ -146,8 +203,7 @@ def test_gapped_reference_window_is_refused():
         )
     )
     with pytest.raises(UnsupportedTraceError, match="slot gap"):
-        solve_convex(trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0,
-                     interdependent=True)
+        solve_convex(trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0)
 
 
 # -- engine selection and input checks -------------------------------------------
@@ -160,15 +216,6 @@ def test_solve_linear_refuses_dependencies_and_convex_cost():
     free = random_trace(np.random.default_rng(0))
     with pytest.raises(ValueError, match="linear cost"):
         solve_linear(free, flat_channel(), CostModel(kind="convex"), 0.9, 1.0)
-
-
-def test_solve_convex_flag_must_match_trace():
-    free = random_trace(np.random.default_rng(1), uniform=True)
-    with pytest.raises(ValueError, match="interdependent"):
-        solve_convex(free, flat_channel(), CostModel(kind="convex"), 0.9, 1.0,
-                     interdependent=True)
-    with pytest.raises(ValueError, match="interdependent"):
-        solve_convex(chain_trace(), flat_channel(), CostModel(kind="convex"), 0.9, 1.0)
 
 
 def test_joint_engine_requires_uniform_sizes():
@@ -271,8 +318,7 @@ def test_slot_values_satisfy_one_step_consistency():
         channel = random_channel(rng, n_states=2)
         cost = CostModel(kind="convex", slot_duration=2.0)
         alpha = float(rng.choice([0.5, 0.9, 1.0]))
-        pol = solve_convex(trace, channel, cost, alpha, 1.0,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, cost, alpha, 1.0)
         for state in sample_states(trace, rng):
             batch = pol.decide(state)
             gain = sum(trace.by_id[pid].distortion for pid in batch)
@@ -299,8 +345,7 @@ def test_emitted_packets_are_roots_at_selection():
         trace = random_trace(rng, n=5, horizon=5, deps=bool(rng.integers(0, 2)),
                              uniform=True)
         channel = random_channel(rng, n_states=2)
-        pol = solve_convex(trace, channel, CostModel(kind="convex"), 0.9, 1.0,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, CostModel(kind="convex"), 0.9, 1.0)
         pairs = priority_pairs(trace, tuple(p.id for p in trace.packets))
         for state in sample_states(trace, rng):
             order = pol.decide(state)
@@ -324,8 +369,7 @@ def test_decide_returns_the_walk_stored_with_each_value():
         trace = random_trace(rng, deps=True, uniform=True)
         channel = random_channel(rng)
         cost = CostModel(kind="convex", slot_duration=2.0)
-        pol = solve_convex(trace, channel, cost, 0.9, 0.5,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, cost, 0.9, 0.5)
         monte_carlo([pol], trace, channel, cost, 0.9, 0.5,
                     episodes=20, loss_rate=0.3, seed=5)
         off_plan += sum(map(len, pol._state_memo))
@@ -346,8 +390,7 @@ def test_visited_counts_follow_the_slot_trees():
         deps = bool(rng.integers(0, 2))
         trace = random_trace(rng, deps=deps, uniform=True)
         channel = random_channel(rng)
-        pol = solve_convex(trace, channel, CostModel(kind="convex"), 0.9, 1.0,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, CostModel(kind="convex"), 0.9, 1.0)
         n_h = channel.n_states
         hz = trace.horizon
         for t in range(hz + 1):
@@ -420,8 +463,7 @@ def test_values_match_oracle_at_sampled_states():
         trace = random_trace(rng, n=4, horizon=5, deps=deps, uniform=True)
         channel = random_channel(rng, n_states=2)
         cost = CostModel(kind="convex", slot_duration=2.0)
-        pol = solve_convex(trace, channel, cost, 0.9, 1.0,
-                           interdependent=trace.has_dependencies)
+        pol = solve_convex(trace, channel, cost, 0.9, 1.0)
         ref = solve_exhaustive(trace, channel, cost, 0.9, 1.0)
         for state in sample_states(trace, rng):
             assert rel_close(pol.state_value(state), ref.state_value(state), 1e-9)

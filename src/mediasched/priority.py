@@ -2,7 +2,8 @@
 
 A packet j outranks k when sending j first never hurts: either k depends on
 j, or j dominates k in distortion, urgency and per-state transmission cost
-while covering k's dependents.
+while covering k's dependents and depending on nothing k does not depend on
+(else j could be unsendable in a slot where k is sendable).
 The pairwise tests are sufficient conditions, so the induced graph can leave
 genuinely ordered pairs unconnected; everything downstream only relies on
 the edges that are present.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .media import MediaTrace, descendants
+from .media import MediaTrace, ancestors, descendants
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,18 @@ def higher_priority(j, k, trace: MediaTrace) -> str:
         raise ValueError("cannot order a packet against itself")
     bit = {p.id: 1 << i for i, p in enumerate(trace.packets)}
     desc_j, desc_k = (sum(bit[x] for x in descendants(trace, p.id)) for p in (j, k))
-    verdict = _order(j, k, bit[j.id], bit[k.id], desc_j, desc_k)
+    anc_j, anc_k = (sum(bit[x] for x in ancestors(trace, p.id)) for p in (j, k))
+    verdict = _order(j, k, bit[j.id], bit[k.id], desc_j, desc_k, anc_j, anc_k)
     return ("k_before_j", "incomparable", "j_before_k")[verdict + 1]
 
 
-def _order(j, k, bit_j: int, bit_k: int, desc_j: int, desc_k: int) -> int:
+def _order(
+    j, k, bit_j: int, bit_k: int, desc_j: int, desc_k: int, anc_j: int, anc_k: int
+) -> int:
     """1 when j outranks k, -1 when k outranks j, 0 when unordered.
 
-    bit_* is a packet's own bit and desc_* the mask of its dependents.
+    bit_* is a packet's own bit, desc_* the mask of its dependents and anc_*
+    the mask of the packets it depends on.
     """
     if desc_j & bit_k:
         return 1
@@ -87,12 +92,14 @@ def _order(j, k, bit_j: int, bit_k: int, desc_j: int, desc_k: int) -> int:
         and j.deadline <= k.deadline
         and j.size_bits <= k.size_bits
         and not desc_k & ~desc_j
+        and not anc_j & ~anc_k
     )
     kj = (
         k.distortion >= j.distortion
         and k.deadline <= j.deadline
         and k.size_bits <= j.size_bits
         and not desc_j & ~desc_k
+        and not anc_k & ~anc_j
     )
     if jk and kj:
         return 1 if j.id < k.id else -1
@@ -120,14 +127,15 @@ def outranked_by(trace: MediaTrace, ids) -> list[int]:
     """Per position in ids, the mask of the ids outranking it (not closed)."""
     pos = {p.id: i for i, p in enumerate(trace.packets)}
     desc = close([sum(1 << pos[c] for c in trace.children[p.id]) for p in trace.packets])
+    anc = close([sum(1 << pos[c] for c in p.parents) for p in trace.packets])
     packets = [trace.by_id[x] for x in ids]
     at = [pos[x] for x in ids]
     pred = [0] * len(at)
     for b in range(len(at)):
         for a in range(b):
-            verdict = _order(
-                packets[a], packets[b], 1 << at[a], 1 << at[b], desc[at[a]], desc[at[b]]
-            )
+            pa, pb = at[a], at[b]
+            verdict = _order(packets[a], packets[b], 1 << pa, 1 << pb,
+                             desc[pa], desc[pb], anc[pa], anc[pb])
             if verdict > 0:
                 pred[b] |= 1 << a
             elif verdict < 0:

@@ -56,7 +56,12 @@ def run_episode(
     loss_rate: float = 0.0,
     seed: int | None = None,
 ) -> EpisodeResult:
-    idx = _index_for(trace)
+    return _episode(policy, _index_for(trace), trace, channel, channel_path, cost,
+                    alpha, lam, loss_rate, seed)
+
+
+def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_rate, seed):
+    """run_episode on the trace's index, which monte_carlo looks up once."""
     hz = idx.horizon
     if len(channel_path) < hz + 1:
         raise ValueError("channel path shorter than the trace horizon")
@@ -144,24 +149,16 @@ def monte_carlo(
     if episodes < 2:
         raise ValueError("episodes must be at least 2 for a sample std")
     acc = {p.name: ([], [], [], []) for p in policies}
-    hz = trace.horizon
+    idx = _index_for(trace)
+    hz = idx.horizon
     sample = path_sampler(channel)
     # One generator per episode, as sample_path seeds it, so a path depends
     # only on seed + i and not on how many episodes were drawn before it.
     for i in range(episodes):
         path = sample(hz, seed + i)
         for pol in policies:
-            res = run_episode(
-                pol,
-                trace,
-                channel,
-                path,
-                cost,
-                alpha,
-                lam,
-                loss_rate=loss_rate,
-                seed=seed * 1_000_003 + i,
-            )
+            res = _episode(pol, idx, trace, channel, path, cost, alpha, lam,
+                           loss_rate, seed * 1_000_003 + i)
             u, g, c, d = acc[pol.name]
             u.append(res.utility)
             g.append(res.distortion_gain)

@@ -12,13 +12,16 @@ Two engines, each with its own policy class:
 * solve_linear, DecomposedPolicy: with additive costs and no dependencies
   the problem splits into one optimal-stopping run per packet.
 * solve_convex, SolvedPolicy: backward induction storing post-decision
-  values, where each slot is resolved by walking the priority graph:
-  repeatedly emit the root whose marginal gain (reward, minus the marginal
-  slot cost of one more packet, plus the shift in post-decision value) is
-  largest, then cut the walk at the prefix with the best accumulated gain.
-  Step gains need not fall monotonically: a dependency edge can force a
-  cheap parent ahead of the valuable child that repays it, so the walk
-  runs the graph to exhaustion before cutting.
+  values, where each slot is resolved over the priority graph: a priority-
+  respecting emission sends roots before what they outrank, so it is an
+  upper set of the schedulable packets, and every such set is scored by its
+  reward, minus the slot cost of its size, plus the post-decision value it
+  leads to. Picking roots one at a time by marginal gain is not enough: a
+  cheap parent can be worth sending only for the child it unlocks. The
+  schedulable set and the candidate emissions of a (pending set, record)
+  pair are computed once and shared by every channel state, and slot costs
+  come from a per-solve table indexed by (channel state, batch size k),
+  since one packet size fixes them.
 
 A pending set is a bitmask over packet positions in the trace. The
 delivery record is a bitmask in the same numbering: bit i is set when the
@@ -35,7 +38,7 @@ starvation, or through external loss feedback during simulation) are
 evaluated lazily on demand. Those met while planning join the table and are
 tallied as extra; those met while acting go to per-slot memos on the policy,
 so acting never changes a solved table. Every state value is stored with the
-emission order its root walk chose, so deciding in a known state is a lookup.
+emission order that achieves it, so deciding in a known state is a lookup.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class ValueTable:
     post_values: list[dict]
     visited: list[int]
     stored: list[int]
-    comparisons: list[int]
+    comparisons: list[int]  # candidate emissions scored, per slot
     extra: list[int]  # off-family states evaluated while planning, per slot
 
 
@@ -124,6 +127,10 @@ class _TraceIndex:
             self.expire_mask[self.deadline[i]] |= 1 << i
             for t in range(self.arrival[i], self.deadline[i] + 1):
                 self.live_mask[t] |= 1 << i
+        # topo_live[t]: topological order restricted to the packets live at t,
+        # which still puts every pending parent ahead of its child.
+        self.topo_live = [[i for i in self.topo if live >> i & 1] for live in self.live_mask]
+        self.id_str = tuple(str(pid) for pid in self.ids)
 
         self._build_dep_masks()
         self.cert_pred = outranked_by(trace, self.ids)
@@ -203,28 +210,25 @@ class _TraceIndex:
             sub = (sub - full) & full
 
     def schedulable(self, t: int, pending: int, dmask: int) -> int:
-        """Packets that may legally be part of this slot's emission order."""
+        """Packets that may legally be part of this slot's emission order.
+
+        pending must lie within live_mask[t]. A parent arrives no later than
+        its child (validate_trace), so a live packet's parents outside
+        live_mask[t] have expired.
+        """
         if not self.has_deps:
             return pending
         sched = 0
-        for i in self.topo:
+        live = self.live_mask[t]
+        for i in self.topo_live[t]:
             if not pending >> i & 1:
                 continue
-            ok = True
             pm = self.parent_mask[i]
-            while pm:
-                low = pm & -pm
-                p = low.bit_length() - 1
-                pm ^= low
-                if self.deadline[p] < t:
-                    if not dmask >> p & 1:
-                        ok = False
-                        break
-                elif pending >> p & 1 and not sched >> p & 1:
-                    ok = False
-                    break
-            if ok:
-                sched |= 1 << i
+            # expired parents need their record bit, pending ones must be
+            # schedulable themselves
+            if pm & ~live & ~dmask or pm & pending & ~sched:
+                continue
+            sched |= 1 << i
         return sched
 
     def feasible_batch(self, t: int, pending: int, dmask: int, tx: int) -> bool:
@@ -310,7 +314,12 @@ class _TraceIndex:
 
     def label(self, t: int, pending: int, dmask: int, h: int) -> str:
         """Dump key of a state: pending ids, slot t's record and the channel."""
-        ids = ",".join(str(x) for x in sorted(self.ids_of(pending)))
+        bits = []
+        while pending:
+            low = pending & -pending
+            bits.append(low.bit_length() - 1)
+            pending ^= low
+        ids = ",".join(self.id_str[i] for i in sorted(bits, key=self.ids.__getitem__))
         deps = ",".join(f"{pid}:{dmask >> p & 1}" for pid, p in self.dep_record[t])
         return f"B={ids}|D={deps}|h={h}"
 
@@ -428,10 +437,13 @@ class DecomposedPolicy(_Policy):
 
 @dataclass(eq=False)
 class SolvedPolicy(_Policy):
-    """Root walk over the post-decision value table, from solve_convex."""
+    """Best emission per state over the post-decision value table, from solve_convex."""
 
     table: ValueTable
     idx: _TraceIndex
+    # batch[h][k]: cost of sending k packets in channel state h; one packet
+    # size makes it independent of which.
+    batch: list[list[float]]
 
     def __post_init__(self):
         # Off-plan states evaluated while acting, per slot. The table is
@@ -476,14 +488,12 @@ class SolvedPolicy(_Policy):
 
 
 # ---------------------------------------------------------------------------
-# greedy slot resolution and lazy value evaluation
+# slot resolution and lazy value evaluation
 # ---------------------------------------------------------------------------
 
 
-def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx: int) -> float:
-    idx = pol.idx
-    stripped = pending & ~tx & ~idx.expire_mask[t]
-    nxt_dmask = idx.dep_after(t, dmask, pending, tx)
+def _post_value(pol: SolvedPolicy, t: int, stripped: int, nxt_dmask: int, h: int) -> float:
+    """Hold value of slot t's post-decision state (stripped, nxt_dmask, h)."""
     key = (stripped, nxt_dmask, h)
     hit = pol.table.post_values[t].get(key)
     if hit is None:
@@ -491,7 +501,7 @@ def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx:
     if hit is not None:
         return hit
     # Off the planned family: evaluate the next slot on demand.
-    nxt_pending = stripped | idx.arrive_mask[t + 1]
+    nxt_pending = stripped | pol.idx.arrive_mask[t + 1]
     row = pol.channel.transition[h]
     total = 0.0
     for h2 in range(pol.channel.n_states):
@@ -505,7 +515,7 @@ def _post_value(pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int, tx:
 def _state_entry(
     pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int
 ) -> tuple[float, tuple[int, ...]]:
-    """Slot value and emission order, from the table, the memo or one root walk."""
+    """Slot value and emission order, from the table, the memo or one resolution."""
     if t > pol.idx.horizon:
         if pending:
             raise SolverError("pending packets past the horizon")
@@ -515,80 +525,70 @@ def _state_entry(
     if hit is None:
         hit = pol._state_memo[t].get(key)
     if hit is None:
-        hit = _greedy(pol, t, pending, dmask, h)
+        hit = _resolve(pol, t, pending, dmask, h)
         pol._state_memo[t][key] = hit
     return hit
 
 
-def _greedy(
+def _emissions(idx: _TraceIndex, t: int, pending: int, dmask: int) -> list[tuple]:
+    """Every emission a priority-respecting sender can make in this state.
+
+    These are the upper sets of the schedulable packets under the priority
+    relation, which puts every parent ahead of its children: adding roots
+    to the empty emission, breadth first, gives each set once, the smaller
+    ones first, in the order of the first root path that reaches it. Per
+    emission: its packet ids in that order, their distortion sum, and the
+    stripped pending set and record it leaves for slot t + 1, none of which
+    depend on the channel state.
+    """
+    sched = idx.schedulable(t, pending, dmask)
+    found = [(0, (), 0.0)]
+    seen = {0}
+    for tx, order, q in found:  # the list grows while it is walked
+        rest = sched & ~tx
+        mm = rest
+        while mm:
+            low = mm & -mm
+            i = low.bit_length() - 1
+            mm ^= low
+            if idx.cert_pred[i] & rest or tx | low in seen:
+                continue
+            seen.add(tx | low)
+            found.append((tx | low, order + (idx.ids[i],), q + idx.q[i]))
+    kept = pending & ~idx.expire_mask[t]
+    return [
+        (order, q, kept & ~tx, idx.dep_after(t, dmask, pending, tx))
+        for tx, order, q in found
+    ]
+
+
+def _resolve(
     pol: SolvedPolicy,
     t: int,
     pending: int,
     dmask: int,
     h: int,
     counter: list | None = None,
+    emissions: list | None = None,
 ) -> tuple[float, tuple[int, ...]]:
-    """Resolve one slot at (pending, dmask, h): emission order and slot value.
+    """Resolve one slot at (pending, dmask, h): slot value and emission order.
 
-    Walks root by root to graph exhaustion, then keeps the shortest prefix
-    whose accumulated marginal gain is maximal (empty when none is positive).
+    Scores every priority-respecting emission by its distortion, minus the
+    lambda-weighted batch cost, plus the hold value it leads to, and keeps
+    the first best one (so the smallest, and no emission on a tie with it).
+    emissions is _emissions(...) when the caller already has it.
     """
-    idx = pol.idx
-    state = pol.channel.states[h]
-    sched = idx.schedulable(t, pending, dmask)
-    tx = 0
-    chain: list[tuple[int, float]] = []
-    hold = _post_value(pol, t, pending, dmask, h, 0)
-    run = 0.0
-    cut = 0
-    cut_run = 0.0
-    k = 0
-    while True:
-        graph = sched & ~tx
-        if not graph:
-            break
-        k += 1
-        best_pos = -1
-        best_delta = 0.0
-        best_hold = 0.0
-        mm = graph
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            mm ^= low
-            if idx.cert_pred[i] & graph:
-                continue
-            nxt_hold = _post_value(pol, t, pending, dmask, h, tx | low)
-            delta = (
-                idx.q[i]
-                - pol.lam * idx.packet_marginal(k, i, state, pol.cost)
-                + nxt_hold
-                - hold
-            )
-            if counter is not None:
-                counter[0] += 1
-            if best_pos < 0 or delta > best_delta or (
-                delta == best_delta and idx.ids[i] < idx.ids[best_pos]
-            ):
-                best_pos, best_delta, best_hold = i, delta, nxt_hold
-        # Keep walking past a non-positive step: a forced low-reward parent
-        # can be repaid within the slot by the child it unlocks.
-        tx |= 1 << best_pos
-        run += best_delta
-        chain.append((best_pos, best_hold))
-        if run > cut_run:
-            cut, cut_run = k, run
-        hold = best_hold
-    tx = 0
-    total_q = 0.0
-    order: list[int] = []
-    for pos, _ in chain[:cut]:
-        tx |= 1 << pos
-        total_q += idx.q[pos]
-        order.append(idx.ids[pos])
-    end_hold = chain[cut - 1][1] if cut else _post_value(pol, t, pending, dmask, h, 0)
-    value = total_q - pol.lam * idx.batch_cost(tx, state, pol.cost) + end_hold
-    return value, tuple(order)
+    if emissions is None:
+        emissions = _emissions(pol.idx, t, pending, dmask)
+    if counter is not None:
+        counter[0] += len(emissions)
+    batch = pol.batch[h]
+    best_value, best_order = -math.inf, ()
+    for order, q, stripped, nxt_dmask in emissions:
+        value = q - pol.lam * batch[len(order)] + _post_value(pol, t, stripped, nxt_dmask, h)
+        if value > best_value:
+            best_value, best_order = value, order
+    return best_value, best_order
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +654,9 @@ def solve_convex(
         comparisons=[0] * (hz + 1),
         extra=[0] * (hz + 2),
     )
+    # A batch never outgrows its slot's live set; the table reuses the
+    # index's cost function on k-bit masks, so each entry is the float it gives.
+    k_max = max(map(int.bit_count, idx.live_mask))
     pol = SolvedPolicy(
         trace=trace,
         channel=channel,
@@ -662,6 +665,8 @@ def solve_convex(
         lam=lam,
         table=table,
         idx=idx,
+        batch=[[idx.batch_cost((1 << k) - 1, st, cost) for k in range(k_max + 1)]
+               for st in channel.states],
     )
     # Past the last deadline everything has expired or been dropped.
     for h in range(n_h):
@@ -676,9 +681,10 @@ def solve_convex(
         for pre in pre_sets:
             pending = pre | arriving
             for dmask in records:
+                emissions = _emissions(idx, t, pending, dmask)
                 for h in range(n_h):
-                    table.state_values[t][(pending, dmask, h)] = _greedy(
-                        pol, t, pending, dmask, h, counter
+                    table.state_values[t][(pending, dmask, h)] = _resolve(
+                        pol, t, pending, dmask, h, counter, emissions
                     )
         table.comparisons[t] = counter[0]
         table.visited[t] = n_h * len(records) * (len(pre_sets) - 1)

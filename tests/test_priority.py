@@ -108,6 +108,22 @@ def test_attribute_rule_needs_descendant_cover():
     assert disconnection_degree(pg) == 1
 
 
+def test_attribute_rule_needs_ancestor_cover():
+    # 3 beats 1 on weight at the same deadline, but 3 needs 2 sent first and
+    # 1 does not, so sending 3 first is not always possible
+    trace = MediaTrace(
+        packets=(
+            Packet(id=1, size_bits=1.0, distortion=4.0, arrival=0, deadline=1),
+            Packet(id=2, size_bits=1.0, distortion=3.75, arrival=0, deadline=1),
+            Packet(id=3, size_bits=1.0, distortion=4.1, arrival=0, deadline=1,
+                   parents=frozenset({2})),
+        )
+    )
+    assert higher_priority(trace.by_id[3], trace.by_id[1], trace) == "incomparable"
+    assert higher_priority(trace.by_id[2], trace.by_id[3], trace) == "j_before_k"
+    assert priority_pairs(trace, (1, 2, 3)) == {(2, 3)}
+
+
 def test_mutual_tie_resolves_to_lower_id():
     trace = attr_trace((5, 5), (2, 2))
     assert higher_priority(trace.by_id[1], trace.by_id[2], trace) == "j_before_k"

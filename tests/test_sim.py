@@ -270,18 +270,18 @@ def test_planned_decides_are_one_lookup(monkeypatch):
     masks = []
     walks = []
     state_masks = solver._TraceIndex.state_masks
-    greedy = solver._greedy
+    resolve = solver._resolve
 
     def counting_state_masks(self, state):
         masks.append(state)
         return state_masks(self, state)
 
-    def counting_greedy(p, t, pending, dmask, h, counter=None):
+    def counting_resolve(p, t, pending, dmask, h, counter=None, emissions=None):
         walks.append((t, (pending, dmask, h)))
-        return greedy(p, t, pending, dmask, h, counter)
+        return resolve(p, t, pending, dmask, h, counter, emissions)
 
     monkeypatch.setattr(solver._TraceIndex, "state_masks", counting_state_masks)
-    monkeypatch.setattr(solver, "_greedy", counting_greedy)
+    monkeypatch.setattr(solver, "_resolve", counting_resolve)
     monte_carlo([rec], trace, channel, cost, alpha, lam,
                 episodes=200, loss_rate=0.1, seed=3)
     # One conversion per decide and none from the episode loop.
@@ -310,6 +310,24 @@ def test_greedy_and_oracle_keep_their_trace_index():
         oracle.state_value(state)
     oracle.to_dump_dict()
     assert solver._index_for.cache_info() == before
+
+
+def test_monte_carlo_looks_up_the_trace_index_once():
+    # The lookup hashes the whole trace; the episodes share one index.
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pols = [
+        solve(trace, channel, cost, alpha, lam),
+        baseline_myopic(trace, channel, cost, lam),
+        baseline_distortion_greedy(trace, channel, cost, lam),
+        baseline_constant_channel(trace, channel, cost, alpha, lam),
+        solve_exhaustive(trace, channel, cost, alpha, lam),
+    ]
+    for episodes in (2, 40):
+        before = solver._index_for.cache_info()
+        monte_carlo(pols, trace, channel, cost, alpha, lam,
+                    episodes=episodes, loss_rate=0.2, seed=episodes)
+        after = solver._index_for.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses <= 1
 
 
 @pytest.mark.parametrize("episodes", [0, 1])

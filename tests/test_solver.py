@@ -1,5 +1,7 @@
 """Joint-state transition, both planning engines, and the count accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from mediasched import (
     solve_single,
     standard_dp_counts,
 )
-from mediasched.solver import _TraceIndex, _greedy
+from mediasched.priority import close
+from mediasched.solver import _TraceIndex, _emissions, _resolve
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -190,6 +193,97 @@ def test_step_record_matches_the_definition():
                         | trace.arrivals(t + 1)
                     )
     assert fresh > 500
+
+
+def schedulable_by_definition(trace, t, pending, record):
+    """A packet is schedulable iff it is pending, every expired parent was
+    delivered, and every pending parent is schedulable."""
+    memo = {}
+
+    def ok(pid):
+        if pid not in memo:
+            memo[pid] = pid in pending and all(
+                record[par] if trace.by_id[par].deadline < t else par not in pending or ok(par)
+                for par in trace.by_id[pid].parents
+            )
+        return memo[pid]
+
+    return {pid for pid in pending if ok(pid)}
+
+
+def test_schedulable_matches_its_recursive_definition():
+    # Every subset of the live packets, under every record of the slot.
+    rng = np.random.default_rng(45)
+    blocked = starved = 0
+    for _ in range(150):
+        trace = random_trace(rng, n=int(rng.integers(3, 9)), deps=True)
+        idx = _TraceIndex(trace)
+        for t in range(trace.horizon + 1):
+            live = idx.live_mask[t]
+            sub = live
+            while True:
+                pending = idx.ids_of(sub)
+                for dmask in idx.records(t):
+                    record = dict(idx.deps_tuple(t, dmask))
+                    want = schedulable_by_definition(trace, t, pending, record)
+                    got = idx.ids_of(idx.schedulable(t, sub, dmask))
+                    assert got == want, (t, sorted(pending), record)
+                    blocked += len(pending) - len(want)
+                    starved += not all(record.values())
+                if sub == 0:
+                    break
+                sub = (sub - 1) & live
+    assert blocked > 3000 and starved > 3000
+
+
+def test_emissions_are_the_upper_sets_of_the_schedulable_packets():
+    # Each subset of the schedulable packets that holds everything ranked
+    # above its members appears once, smaller sets first, in an order that
+    # only ever sends a root of what is left.
+    rng = np.random.default_rng(46)
+    checked = 0
+    for _ in range(150):
+        trace = random_trace(rng, n=int(rng.integers(2, 8)), deps=bool(rng.integers(0, 2)))
+        idx = _TraceIndex(trace)
+        above = close(idx.cert_pred)
+        for t in range(trace.horizon + 1):
+            for dmask in idx.records(t):
+                pending = int(rng.integers(0, 1 << idx.n)) & idx.live_mask[t]
+                sched = idx.schedulable(t, pending, dmask)
+                want = {
+                    tx for tx in range(1 << idx.n)
+                    if not tx & ~sched
+                    and all(not above[i] & sched & ~tx for i in range(idx.n) if tx >> i & 1)
+                }
+                got = _emissions(idx, t, pending, dmask)
+                sets = [idx.mask_of(order) for order, *_ in got]
+                assert len(sets) == len(set(sets)) and set(sets) == want
+                sizes = [len(order) for order, *_ in got]
+                assert sizes == sorted(sizes)
+                for (order, q, stripped, nxt), tx in zip(got, sets):
+                    assert q == sum(trace.by_id[pid].distortion for pid in order)
+                    assert stripped == pending & ~tx & ~idx.expire_mask[t]
+                    assert nxt == idx.dep_after(t, dmask, pending, tx)
+                    left = sched
+                    for pid in order:
+                        i = idx.pos[pid]
+                        assert not idx.cert_pred[i] & left
+                        left &= ~(1 << i)
+                checked += len(got)
+    assert checked > 2000
+
+
+def test_label_lists_pending_ids_in_id_order():
+    # Positions follow the trace order, labels follow the ids.
+    trace = MediaTrace(
+        packets=tuple(
+            Packet(id=pid, size_bits=1.0, distortion=1.0, arrival=0, deadline=3)
+            for pid in (12, 3, 7, 10)
+        )
+    )
+    idx = _TraceIndex(trace)
+    assert idx.label(0, idx.mask_of([12, 3, 10]), 0, 1) == "B=3,10,12|D=|h=1"
+    assert idx.label(0, 0, 0, 0) == "B=|D=|h=0"
 
 
 def test_gapped_reference_window_is_refused():
@@ -362,7 +456,7 @@ def test_emitted_packets_are_roots_at_selection():
 
 def test_decide_returns_the_walk_stored_with_each_value():
     # Planned states, and off-plan states that loss feedback led to: decide
-    # must give what a fresh root walk gives.
+    # must give what a fresh slot resolution gives.
     rng = np.random.default_rng(12)
     off_plan = 0
     for _ in range(12):
@@ -377,7 +471,7 @@ def test_decide_returns_the_walk_stored_with_each_value():
         for t in range(trace.horizon + 1):
             for pending, dmask, h in [*pol.table.state_values[t], *pol._state_memo[t]]:
                 state = JointState(t, idx.ids_of(pending), idx.deps_tuple(t, dmask), h)
-                assert pol.decide(state) == list(_greedy(pol, t, pending, dmask, h)[1])
+                assert pol.decide(state) == list(_resolve(pol, t, pending, dmask, h)[1])
     assert off_plan > 0
 
 
@@ -413,6 +507,59 @@ def test_independent_queries_stay_on_plan():
         pol.state_value(state)
         pol.decide(state)
     assert all(x == 0 for x in pol.table.extra)
+
+
+@pytest.mark.parametrize("kind", ["linear", "convex"])
+def test_cost_table_equals_the_cost_function(kind):
+    # batch[h][k] is the float batch_cost gives for any k-packet batch.
+    rng = np.random.default_rng(16)
+    cost = CostModel(kind=kind, slot_duration=1.5)
+    for _ in range(10):
+        trace = random_trace(rng, n=int(rng.integers(2, 8)), deps=bool(rng.integers(0, 2)),
+                             uniform=True)
+        unit = float(rng.uniform(0.5, 2.0))
+        trace = MediaTrace(packets=tuple(replace(p, size_bits=unit) for p in trace.packets))
+        channel = random_channel(rng, n_states=3)
+        pol = solve_convex(trace, channel, cost, 0.9, 1.0)
+        idx = pol.idx
+        k_max = max(bin(m).count("1") for m in idx.live_mask)
+        for h, state in enumerate(channel.states):
+            assert len(pol.batch[h]) == k_max + 1
+            assert pol.batch[h][0] == 0.0
+            for k in range(1, k_max + 1):
+                for _ in range(5):
+                    picks = rng.choice(idx.n, size=k, replace=False)
+                    tx = sum(1 << int(i) for i in picks)
+                    assert pol.batch[h][k] == idx.batch_cost(tx, state, cost)
+
+
+def test_schedulable_runs_once_per_pending_set_and_record(monkeypatch):
+    # The schedulable set does not depend on the channel state, so a solve
+    # computes it once per (pending set, record), not once per channel state.
+    calls = []
+    schedulable = _TraceIndex.schedulable
+
+    def counting(self, t, pending, dmask):
+        calls.append((t, pending, dmask))
+        return schedulable(self, t, pending, dmask)
+
+    monkeypatch.setattr(_TraceIndex, "schedulable", counting)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(12):
+        trace = random_trace(rng, deps=True, uniform=True)
+        channel = random_channel(rng, n_states=3)
+        calls.clear()
+        pol = solve_convex(trace, channel, CostModel(kind="convex"), 0.9, 1.0)
+        if any(pol.table.extra):
+            continue
+        idx = pol.idx
+        assert len(calls) == len(set(calls)) == sum(
+            len(idx.aux_tree_sets(t)) * len(list(idx.records(t)))
+            for t in range(trace.horizon + 1)
+        )
+        checked += 1
+    assert checked >= 8
 
 
 def test_standard_dp_counts_by_hand():
@@ -467,6 +614,55 @@ def test_values_match_oracle_at_sampled_states():
         ref = solve_exhaustive(trace, channel, cost, 0.9, 1.0)
         for state in sample_states(trace, rng):
             assert rel_close(pol.state_value(state), ref.state_value(state), 1e-9)
+
+
+def one_slot_trace(*packets):
+    """Packets (id, distortion, deadline, parents) all arriving at slot 0."""
+    return MediaTrace(packets=tuple(
+        Packet(id=pid, size_bits=1.0, distortion=q, arrival=0, deadline=d,
+               parents=frozenset(parents))
+        for pid, q, d, parents in packets
+    ))
+
+
+@pytest.mark.parametrize("trace, lam, best", [
+    # 3 outweighs 1 but needs its parent 2: sending 1 alone is best, and 3
+    # must not outrank 1 for that emission to be considered
+    (one_slot_trace((1, 4.0, 1, ()), (2, 3.75, 1, ()), (3, 4.1, 1, (2,))), 2.0, [1]),
+    # 1 gains most on its own, yet the cheap parent 2 with its child 3 is
+    # the better emission, which a root-by-root greedy walk never reaches
+    (one_slot_trace((1, 4.4, 1, ()), (2, 1.6, 2, ()), (3, 7.0, 2, (2,))), 1.5, [2, 3]),
+])
+def test_parent_sent_for_its_child_matches_the_oracle(trace, lam, best):
+    # With alpha = 0 only slot 0 counts: the best emission against the
+    # convex costs 1, 3, 7 of one, two and three packets.
+    channel = ChannelModel(
+        states=(ChannelState(id=0, gain=1.0, rate=1.0, loss_prob=0.0),),
+        transition=np.array([[1.0]]),
+        initial=np.array([1.0]),
+    )
+    cost = CostModel(kind="convex", slot_duration=2.0)
+    pol = solve_convex(trace, channel, cost, 0.0, lam)
+    ref = solve_exhaustive(trace, channel, cost, 0.0, lam)
+    state = JointState(0, trace.live(0), (), 0)
+    assert pol.decide(state) == ref.decide(state) == best
+    assert rel_close(pol.state_value(state), ref.state_value(state), 1e-12)
+
+
+def test_an_exact_tie_sends_the_smaller_emission():
+    # alpha = 0 and a convex cost of exactly 1 for one packet: sending
+    # packet 1 gains 1 - 1 = 0, the same as sending nothing.
+    trace = one_slot_trace((1, 1.0, 1, ()), (2, 4.0, 1, ()))
+    channel = ChannelModel(
+        states=(ChannelState(id=0, gain=1.0, rate=1.0, loss_prob=0.0),),
+        transition=np.array([[1.0]]),
+        initial=np.array([1.0]),
+    )
+    pol = solve_convex(trace, channel, CostModel(kind="convex", slot_duration=2.0), 0.0, 1.0)
+    # 2 alone gains 3; adding 1 costs 2 more and gains 1
+    assert pol.decide(JointState(0, frozenset({1, 2}), (), 0)) == [2]
+    assert pol.decide(JointState(0, frozenset({1}), (), 0)) == []
+    assert pol.state_value(JointState(0, frozenset({1}), (), 0)) == 0.0
 
 
 def test_linear_decomposition_matches_oracle_initially():

@@ -254,13 +254,6 @@ def averaged_channel(model: ChannelModel) -> ChannelModel:
     unambiguous; anything else raises ChannelValidationError.
     """
     n = model.n_states
-    if n == 1:
-        st = model.states[0]
-        return ChannelModel(
-            states=(ChannelState(id=0, gain=st.gain, rate=st.rate, loss_prob=st.loss_prob),),
-            transition=np.array([[1.0]]),
-            initial=np.array([1.0]),
-        )
     # Boolean matrix powers of the support. Irreducible: every state reaches
     # every other within n - 1 steps. Aperiodic, given irreducible: the
     # (n - 1)^2 + 1 step support is all positive (Wielandt's bound).

@@ -21,12 +21,8 @@ import json
 import pathlib
 import sys
 
-from .channel import (
-    ChannelValidationError,
-    CostModel,
-    load_channel,
-)
-from .media import TraceFormatError, TraceValidationError, load_trace
+from .channel import CostModel, load_channel
+from .media import load_trace
 from .oracle import MAX_EXHAUSTIVE_PACKETS, solve_exhaustive
 from .priority import (
     build_priority_graph,
@@ -43,7 +39,7 @@ from .sim import (
     baseline_myopic,
     monte_carlo,
 )
-from .solver import SolvedPolicy, UnsupportedTraceError, complexity_report, solve
+from .solver import SolvedPolicy, complexity_report, solve
 
 
 def _add_io_args(p: argparse.ArgumentParser):
@@ -295,14 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        TraceFormatError,
-        TraceValidationError,
-        ChannelValidationError,
-        UnsupportedTraceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

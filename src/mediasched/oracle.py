@@ -3,7 +3,10 @@
 These trade time for trust: they enumerate entire state and action spaces
 with no pruning and no shared structure with the production recursion
 beyond the state encoding and transition (_TraceIndex) and the policy base,
-so agreement is meaningful evidence.
+so agreement is meaningful evidence. The batch closure test
+(_TraceIndex._parents_in: every pending parent of a sent packet is sent
+too) is shared with advance_state only; the production recursion builds
+its emissions from the priority relation instead.
 
 solve_exhaustive runs backward induction over every (slot, pending subset,
 dependency record, channel state) combination, reachable or not, taking the
@@ -26,6 +29,8 @@ from .solver import JointState, _Policy, _TraceIndex, _check_common, _index_for
 
 # Each extra packet roughly triples the exhaustive run time.
 MAX_EXHAUSTIVE_PACKETS = 14
+# A single-packet rule has 2 ** cells variants.
+_MAX_RULE_CELLS = 16
 
 
 @dataclass(eq=False)
@@ -87,13 +92,12 @@ def solve_exhaustive(
     cost: CostModel,
     alpha: float,
     lam: float,
-    max_packets: int = MAX_EXHAUSTIVE_PACKETS,
 ) -> ExhaustiveSolution:
     """Optimal values over the full state space, no reachability pruning."""
     _check_common(trace, alpha, lam, require_uniform_size=cost.kind == "convex")
-    if len(trace.packets) > max_packets:
+    if len(trace.packets) > MAX_EXHAUSTIVE_PACKETS:
         raise ValueError(
-            f"{len(trace.packets)} packets exceed the exhaustive limit {max_packets}"
+            f"{len(trace.packets)} packets exceed the exhaustive limit {MAX_EXHAUSTIVE_PACKETS}"
         )
 
     idx = _index_for(trace)
@@ -116,15 +120,7 @@ def solve_exhaustive(
                 best_tx = [0] * n_h
                 n_batches = 0
                 for tx in _subsets(sched):
-                    feasible = True
-                    mm = tx
-                    while mm:
-                        low = mm & -mm
-                        if idx.parent_mask[low.bit_length() - 1] & pending & ~tx:
-                            feasible = False
-                            break
-                        mm ^= low
-                    if not feasible:
+                    if not idx._parents_in(pending, tx):
                         continue
                     n_batches += 1
                     cont = alpha * (transition @ values[t + 1][idx.step(t, pending, dmask, tx)])
@@ -167,7 +163,6 @@ def enumerate_single_schedules(
     cost: CostModel,
     alpha: float,
     lam: float,
-    max_cells: int = 16,
 ) -> np.ndarray:
     """Best value per channel state over all deterministic (slot, state) rules.
 
@@ -178,8 +173,8 @@ def enumerate_single_schedules(
     window = packet.deadline - packet.arrival + 1
     n_h = channel.n_states
     cells = window * n_h
-    if cells > max_cells:
-        raise ValueError(f"{cells} rule cells exceed the enumeration limit {max_cells}")
+    if cells > _MAX_RULE_CELLS:
+        raise ValueError(f"{cells} rule cells exceed the enumeration limit {_MAX_RULE_CELLS}")
     net = np.array(
         [packet.distortion - lam * cost.cost(packet.size_bits, s) for s in channel.states]
     )

@@ -296,8 +296,8 @@ def reachable_states(trace: MediaTrace, t: int) -> tuple[set[frozenset[int]], Pr
 # ---------------------------------------------------------------------------
 
 
-def pg_to_dot(pg: PriorityGraph, name: str = "priorities") -> str:
-    lines = [f"digraph {name} {{"]
+def pg_to_dot(pg: PriorityGraph) -> str:
+    lines = ["digraph priorities {"]
     for n in sorted(pg.nodes):
         lines.append(f'  p{n} [label="{n}"];')
     for a, b in sorted(pg.edges):
@@ -306,14 +306,14 @@ def pg_to_dot(pg: PriorityGraph, name: str = "priorities") -> str:
     return "\n".join(lines)
 
 
-def tree_to_dot(tree: StateTree, name: str = "pending_sets") -> str:
+def tree_to_dot(tree: StateTree) -> str:
     def set_id(s: frozenset[int]) -> str:
         return "s_" + ("_".join(str(x) for x in sorted(s)) if s else "empty")
 
     def label(s: frozenset[int]) -> str:
         return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph pending_sets {"]
     for g in sorted(tree.nodes, key=lambda g: (len(g.nodes), sorted(g.nodes))):
         lines.append(f'  {set_id(g.nodes)} [label="{label(g.nodes)}"];')
     for parent, child in sorted(tree.edges, key=lambda e: (len(e[0]), sorted(e[0]), sorted(e[1]))):

@@ -70,9 +70,7 @@ def solve_single(
     )
 
 
-def act_single(policy: ThresholdPolicy, t: int, h: int, pending: bool = True) -> bool:
+def act_single(policy: ThresholdPolicy, t: int, h: int) -> bool:
     """True when the packet should be sent in slot t under channel state h."""
-    if not pending:
-        return False
     row = policy.row(t)
     return policy.net[h] > policy.thresholds[row, h]

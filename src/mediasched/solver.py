@@ -106,7 +106,6 @@ class _TraceIndex:
         self.arrival = tuple(p.arrival for p in trace.packets)
         self.deadline = tuple(p.deadline for p in trace.packets)
         self.horizon = trace.horizon
-        self.uniform_size = len(set(self.size)) <= 1
         self.unit = self.size[0] if self.size else 1.0
 
         self.parent_mask = [0] * n
@@ -115,7 +114,6 @@ class _TraceIndex:
             for parent in p.parents:
                 self.parent_mask[i] |= 1 << self.pos[parent]
                 self.children[self.pos[parent]].append(i)
-        self.has_deps = any(self.parent_mask)
         self.topo = self._topo_order()
 
         hz = self.horizon
@@ -135,7 +133,6 @@ class _TraceIndex:
         self._build_dep_masks()
         self.cert_pred = outranked_by(trace, self.ids)
         self.aux_pred = arrival_ordered(trace, self.ids, self.cert_pred)
-        self._tree_cache: dict[int, list[int]] = {}
 
     def _topo_order(self) -> list[int]:
         indeg = [bin(m).count("1") for m in self.parent_mask]
@@ -216,8 +213,6 @@ class _TraceIndex:
         its child (validate_trace), so a live packet's parents outside
         live_mask[t] have expired.
         """
-        if not self.has_deps:
-            return pending
         sched = 0
         live = self.live_mask[t]
         for i in self.topo_live[t]:
@@ -233,17 +228,16 @@ class _TraceIndex:
 
     def feasible_batch(self, t: int, pending: int, dmask: int, tx: int) -> bool:
         """tx must be schedulable and closed under undelivered live parents."""
-        if tx & ~pending:
-            return False
-        if tx & ~self.schedulable(t, pending, dmask):
-            return False
+        return not tx & ~self.schedulable(t, pending, dmask) and self._parents_in(pending, tx)
+
+    def _parents_in(self, pending: int, tx: int) -> bool:
+        """Every pending parent of a packet in tx is itself in tx."""
         mm = tx
         while mm:
             low = mm & -mm
-            i = low.bit_length() - 1
-            mm ^= low
-            if self.parent_mask[i] & pending & ~tx:
+            if self.parent_mask[low.bit_length() - 1] & pending & ~tx:
                 return False
+            mm ^= low
         return True
 
     def batch_cost(self, tx: int, state, cost: CostModel) -> float:
@@ -266,12 +260,8 @@ class _TraceIndex:
 
     def aux_tree_sets(self, t: int) -> list[int]:
         """Distinct pre-arrival pending sets at slot t, root-peeling family."""
-        if t in self._tree_cache:
-            return self._tree_cache[t]
         nodes = self.live_mask[t] & ~self.arrive_mask[t] if t <= self.horizon else 0
-        out = sorted(peel(nodes, self.aux_pred))
-        self._tree_cache[t] = out
-        return out
+        return sorted(peel(nodes, self.aux_pred))
 
     # -- conversions ---------------------------------------------------------
 
@@ -333,7 +323,8 @@ def _index_for(trace: MediaTrace) -> _TraceIndex:
 
 
 # ---------------------------------------------------------------------------
-# joint-state transition, shared with the exhaustive engine and the simulator
+# joint-state transition on public states; the engines and the simulator
+# step masks with _TraceIndex.step
 # ---------------------------------------------------------------------------
 
 
@@ -568,7 +559,6 @@ def _resolve(
     pending: int,
     dmask: int,
     h: int,
-    counter: list | None = None,
     emissions: list | None = None,
 ) -> tuple[float, tuple[int, ...]]:
     """Resolve one slot at (pending, dmask, h): slot value and emission order.
@@ -580,8 +570,6 @@ def _resolve(
     """
     if emissions is None:
         emissions = _emissions(pol.idx, t, pending, dmask)
-    if counter is not None:
-        counter[0] += len(emissions)
     batch = pol.batch[h]
     best_value, best_order = -math.inf, ()
     for order, q, stripped, nxt_dmask in emissions:
@@ -677,28 +665,23 @@ def solve_convex(
         pre_sets = idx.aux_tree_sets(t)
         records = tuple(idx.records(t))
         arriving = idx.arrive_mask[t]
-        counter = [0]
+        values = table.state_values[t]
         for pre in pre_sets:
             pending = pre | arriving
             for dmask in records:
                 emissions = _emissions(idx, t, pending, dmask)
+                table.comparisons[t] += n_h * len(emissions)
+                future = []
                 for h in range(n_h):
-                    table.state_values[t][(pending, dmask, h)] = _resolve(
-                        pol, t, pending, dmask, h, counter, emissions
-                    )
-        table.comparisons[t] = counter[0]
+                    entry = _resolve(pol, t, pending, dmask, h, emissions)
+                    values[(pending, dmask, h)] = entry
+                    future.append(entry[0])
+                if t > 0:
+                    held = alpha * (transition @ np.array(future))
+                    for h in range(n_h):
+                        table.post_values[t - 1][(pre, dmask, h)] = float(held[h])
         table.visited[t] = n_h * len(records) * (len(pre_sets) - 1)
         if t > 0:
-            post = table.post_values[t - 1]
-            for pre in pre_sets:
-                pending = pre | arriving
-                for dmask in records:
-                    future = np.array(
-                        [table.state_values[t][(pending, dmask, h)][0] for h in range(n_h)]
-                    )
-                    held = alpha * (transition @ future)
-                    for h in range(n_h):
-                        post[(pre, dmask, h)] = float(held[h])
             table.stored[t - 1] = table.visited[t]
     # Off-family states that planning evaluated join the table behind the
     # planned ones, in evaluation order, and count as extra.

@@ -272,14 +272,17 @@ def test_convex_marginals_increase_linear_stay_flat():
 
 
 def test_averaged_channel_single_state_passthrough():
-    model = ChannelModel(
-        states=(ChannelState(id=0, gain=2.0, rate=1.0, loss_prob=0.1),),
-        transition=np.array([[1.0]]),
-        initial=np.array([1.0]),
-    )
-    avg = averaged_channel(model)
-    assert avg.states == model.states
-    assert avg.transition == pytest.approx(np.array([[1.0]]))
+    # A self-loop that falls short of 1 still averages to the state itself.
+    for stay in (1.0, 0.9999999):
+        model = ChannelModel(
+            states=(ChannelState(id=0, gain=2.0, rate=1.0, loss_prob=0.1),),
+            transition=np.array([[stay]]),
+            initial=np.array([1.0]),
+        )
+        avg = averaged_channel(model)
+        assert avg.states == model.states
+        assert avg.transition.tolist() == [[1.0]]
+        assert avg.initial.tolist() == [1.0]
 
 
 def test_averaged_channel_matches_power_iteration():

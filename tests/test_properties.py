@@ -1,11 +1,18 @@
-"""Generated instances: the tree solver against the exhaustive reference, and
-every stored value against the one-step Bellman equation on its own table."""
+"""Generated instances: the tree solver against the exhaustive reference,
+every stored value against the one-step Bellman equation on its own table,
+and the per-slot state count against the paper's closed form."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from mediasched import CostModel, solve_convex, solve_exhaustive
-from conftest import random_channel, random_trace, rel_close
+from mediasched import (
+    CostModel,
+    disconnection_degree,
+    reachable_states,
+    solve_convex,
+    solve_exhaustive,
+)
+from conftest import random_channel, random_trace, rel_close, slotwise_pairwise_only
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -70,3 +77,25 @@ def test_stored_values_satisfy_the_bellman_equation(inst):
                 if p > 0.0
             )
             assert rel_close(post, expect)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_visited_states_follow_the_closed_form(inst):
+    # With no three carried packets mutually unordered, a slot plans
+    # |H| * 2^|K_t| * (N_t + phi_t) states: every record of the K_t
+    # referenced expired packets, and the N_t + phi_t non-empty pending
+    # sets of the carried-packet graph.
+    trace, channel = inst[0], inst[1]
+    assume(slotwise_pairwise_only(trace))
+    pol = solve_convex(*inst)
+    for t in range(trace.horizon + 1):
+        _, aux = reachable_states(trace, t)
+        k_t = sum(
+            1 for k in trace.packets
+            if k.deadline < t and any(
+                k.id in j.parents and j.arrival <= t <= j.deadline for j in trace.packets
+            )
+        )
+        expect = channel.n_states * 2**k_t * (len(aux.nodes) + disconnection_degree(aux))
+        assert pol.table.visited[t] == expect, t

@@ -276,9 +276,9 @@ def test_planned_decides_are_one_lookup(monkeypatch):
         masks.append(state)
         return state_masks(self, state)
 
-    def counting_resolve(p, t, pending, dmask, h, counter=None, emissions=None):
+    def counting_resolve(p, t, pending, dmask, h, emissions=None):
         walks.append((t, (pending, dmask, h)))
-        return resolve(p, t, pending, dmask, h, counter, emissions)
+        return resolve(p, t, pending, dmask, h, emissions)
 
     monkeypatch.setattr(solver._TraceIndex, "state_masks", counting_state_masks)
     monkeypatch.setattr(solver, "_resolve", counting_resolve)

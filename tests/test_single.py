@@ -58,12 +58,6 @@ def test_row_mapping_and_window_errors():
         pol.row(6)
 
 
-def test_not_pending_never_sends():
-    packet = Packet(id=1, size_bits=1.0, distortion=10.0, arrival=0, deadline=3)
-    pol = solve_single(packet, cheap_dear_channel(), CostModel(kind="linear"), 1.0, 1.0)
-    assert not act_single(pol, 0, 0, pending=False)
-
-
 def test_exact_tie_waits():
     # q equals the send cost in every state, so net == hold == 0 at the last
     # slot; the strict rule keeps the packet

@@ -562,6 +562,55 @@ def test_schedulable_runs_once_per_pending_set_and_record(monkeypatch):
     assert checked >= 8
 
 
+def planned_slot_tables(seed, count):
+    """Solved policies of seeded dependent traces, both cost kinds."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        trace = random_trace(rng, n=int(rng.integers(2, 11)), deps=True, uniform=True)
+        channel = random_channel(rng)
+        cost = CostModel(kind=("linear", "convex")[i % 2], slot_duration=2.0)
+        yield solve_convex(trace, channel, cost, 0.9, 1.0)
+
+
+def test_comparisons_count_every_planned_emission_per_channel_state():
+    # Lazy states met while planning add extra entries but no comparisons.
+    with_extra = 0
+    for pol in planned_slot_tables(24, 200):
+        idx, n_h = pol.idx, pol.channel.n_states
+        for t in range(idx.horizon + 1):
+            scored = sum(
+                len(_emissions(idx, t, pre | idx.arrive_mask[t], dmask))
+                for pre in idx.aux_tree_sets(t)
+                for dmask in idx.records(t)
+            )
+            assert pol.table.comparisons[t] == n_h * scored
+        with_extra += any(pol.table.extra)
+    assert with_extra >= 3
+
+
+def test_planned_keys_come_first_in_loop_order():
+    # The dumps serialize post_values in insertion order: the planned
+    # (pre, record, h) keys, then the extras met while planning.
+    with_extra = 0
+    for pol in planned_slot_tables(24, 200):
+        idx, table = pol.idx, pol.table
+        for t in range(idx.horizon + 1):
+            keys = [
+                (pre, dmask, h)
+                for pre in idx.aux_tree_sets(t)
+                for dmask in idx.records(t)
+                for h in range(pol.channel.n_states)
+            ]
+            arriving = idx.arrive_mask[t]
+            states = list(table.state_values[t])
+            assert states[:len(keys)] == [(pre | arriving, d, h) for pre, d, h in keys]
+            assert len(states) == len(keys) + table.extra[t]
+            if t > 0:
+                assert list(table.post_values[t - 1])[:len(keys)] == keys
+        with_extra += any(table.extra)
+    assert with_extra >= 3
+
+
 def test_standard_dp_counts_by_hand():
     trace = MediaTrace(
         packets=(

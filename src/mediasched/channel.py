@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .media import _json_int, _read_object
+
 _CHANNEL_FIELDS = {"states", "transition", "initial"}
 _STATE_FIELDS = {"id", "gain", "rate", "loss_prob"}
 
@@ -92,53 +94,30 @@ def validate_channel(model: ChannelModel) -> list[str]:
 
 def load_channel(source) -> ChannelModel:
     """Parse a channel document (bytes, text, or a readable file) and validate it."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        raw = source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ChannelFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ChannelFormatError("top level must be an object")
-    unknown = set(doc) - _CHANNEL_FIELDS
-    if unknown:
-        raise ChannelFormatError(f"unknown top-level fields {sorted(unknown)}")
-    missing = _CHANNEL_FIELDS - set(doc)
-    if missing:
-        raise ChannelFormatError(f"missing top-level fields {sorted(missing)}")
+    doc = _read_object(source, _CHANNEL_FIELDS, ChannelFormatError)
     if not isinstance(doc["states"], list) or not doc["states"]:
         raise ChannelFormatError("'states' must be a nonempty list")
 
     states = []
     for pos, entry in enumerate(doc["states"]):
-        if not isinstance(entry, dict):
-            raise ChannelFormatError(f"state at position {pos} is not an object")
-        unknown = set(entry) - _STATE_FIELDS
-        if unknown:
-            raise ChannelFormatError(f"state at position {pos}: unknown fields {sorted(unknown)}")
-        missing = _STATE_FIELDS - set(entry)
-        if missing:
-            raise ChannelFormatError(f"state at position {pos}: missing fields {sorted(missing)}")
+        where = f"state at position {pos}"
+        entry = _read_object(entry, _STATE_FIELDS, ChannelFormatError, where)
         try:
             states.append(
                 ChannelState(
-                    id=int(entry["id"]),
+                    id=_json_int(entry["id"]),
                     gain=float(entry["gain"]),
                     rate=float(entry["rate"]),
                     loss_prob=float(entry["loss_prob"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
-            raise ChannelFormatError(f"state at position {pos}: bad field value ({exc})") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ChannelFormatError(f"{where}: bad field value ({exc})") from exc
 
     try:
         transition = np.array(doc["transition"], dtype=float)
         initial = np.array(doc["initial"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChannelFormatError(f"bad transition/initial matrix: {exc}") from exc
 
     model = ChannelModel(states=tuple(states), transition=transition, initial=initial)

@@ -52,22 +52,31 @@ def _add_io_args(p: argparse.ArgumentParser):
 
 
 def _load_inputs(args):
-    trace = load_trace(pathlib.Path(args.trace).read_text())
-    channel = load_channel(pathlib.Path(args.channel).read_text())
+    trace = load_trace(pathlib.Path(args.trace).read_bytes())
+    channel = load_channel(pathlib.Path(args.channel).read_bytes())
     cost = CostModel(kind=args.cost, slot_duration=args.slot_duration)
     return trace, channel, cost
 
 
-def _build_policy(kind, trace, channel, cost, alpha, lam):
-    if kind == "proposed":
-        return solve(trace, channel, cost, alpha, lam)
-    if kind == "myopic":
-        return baseline_myopic(trace, channel, cost, lam)
-    if kind == "greedy":
-        return baseline_distortion_greedy(trace, channel, cost, lam)
-    if kind == "constant":
-        return baseline_constant_channel(trace, channel, cost, alpha, lam)
-    raise ValueError(f"unknown policy {kind!r}")
+# Policy name -> builder; simulate --policy and compare both read this roster.
+_POLICIES = {
+    "proposed": solve,
+    "myopic": lambda tr, ch, cost, alpha, lam: baseline_myopic(tr, ch, cost, lam),
+    "greedy": lambda tr, ch, cost, alpha, lam: baseline_distortion_greedy(tr, ch, cost, lam),
+    "constant": baseline_constant_channel,
+}
+
+
+def _add_mc_args(p: argparse.ArgumentParser):
+    p.add_argument("--episodes", type=int, default=1000)
+    p.add_argument("--loss-rate", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _evaluate(args, trace, channel, cost, policies):
+    """Paired Monte Carlo run of the policies under the parsed arguments."""
+    return monte_carlo(policies, trace, channel, cost, args.alpha, args.lam,
+                       episodes=args.episodes, loss_rate=args.loss_rate, seed=args.seed)
 
 
 def _cmd_make_scenario(args) -> int:
@@ -106,19 +115,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     trace, channel, cost = _load_inputs(args)
-    policy = _build_policy(args.policy, trace, channel, cost, args.alpha, args.lam)
-    reports = monte_carlo(
-        [policy],
-        trace,
-        channel,
-        cost,
-        args.alpha,
-        args.lam,
-        episodes=args.episodes,
-        loss_rate=args.loss_rate,
-        seed=args.seed,
-    )
-    report = reports[policy.name]
+    policy = _POLICIES[args.policy](trace, channel, cost, args.alpha, args.lam)
+    report = _evaluate(args, trace, channel, cost, [policy])[policy.name]
     if args.episodes_csv:
         _write_episodes_csv(args.episodes_csv, {policy.name: report})
     if args.summary_csv:
@@ -133,25 +131,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     trace, channel, cost = _load_inputs(args)
-    policies = [
-        _build_policy(k, trace, channel, cost, args.alpha, args.lam)
-        for k in ("proposed", "myopic", "greedy", "constant")
-    ]
+    policies = [build(trace, channel, cost, args.alpha, args.lam) for build in _POLICIES.values()]
     if len(trace.packets) <= MAX_EXHAUSTIVE_PACKETS:
         policies.append(
             solve_exhaustive(trace, channel, cost, args.alpha, args.lam)
         )
-    reports = monte_carlo(
-        policies,
-        trace,
-        channel,
-        cost,
-        args.alpha,
-        args.lam,
-        episodes=args.episodes,
-        loss_rate=args.loss_rate,
-        seed=args.seed,
-    )
+    reports = _evaluate(args, trace, channel, cost, policies)
     if args.out:
         _write_summary_csv(args.out, reports)
     width = max(len(n) for n in reports)
@@ -163,7 +148,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_inspect_graph(args) -> int:
-    trace = load_trace(pathlib.Path(args.trace).read_text())
+    trace = load_trace(pathlib.Path(args.trace).read_bytes())
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = tuple(p.id for p in trace.packets)
@@ -208,23 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo evaluation of one policy")
     _add_io_args(p)
-    p.add_argument(
-        "--policy",
-        choices=["proposed", "myopic", "greedy", "constant"],
-        default="proposed",
-    )
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--loss-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--policy", choices=list(_POLICIES), default="proposed")
+    _add_mc_args(p)
     p.add_argument("--episodes-csv", help="per-episode CSV output path")
     p.add_argument("--summary-csv", help="summary CSV output path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="paired evaluation against the baselines")
     _add_io_args(p)
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--loss-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_mc_args(p)
     p.add_argument("--out", help="summary CSV output path")
     p.set_defaults(func=_cmd_compare)
 

@@ -8,7 +8,6 @@ set of parent packets that must be decoded first.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +17,25 @@ import numpy as np
 
 _TRACE_FIELDS = {"packets"}
 _PACKET_FIELDS = {"id", "size_bits", "distortion", "arrival", "deadline", "parents"}
+
+
+def _bits(mask: int):
+    """Set bit positions of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def close(rel: list[int]) -> list[int]:
+    """Transitive closure of a relation given as one mask per node (Warshall)."""
+    reach = list(rel)
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        for i, mask in enumerate(reach):
+            if mask & bit:
+                reach[i] = mask | via
+    return reach
 
 
 class TraceFormatError(ValueError):
@@ -66,6 +84,28 @@ class MediaTrace:
         return {i: frozenset(s) for i, s in kids.items()}
 
     @cached_property
+    def _pos(self) -> dict[int, int]:
+        """Position of each id; a repeated id names its last packet, as by_id does."""
+        return {p.id: i for i, p in enumerate(self.packets)}
+
+    @cached_property
+    def ancestor_masks(self) -> list[int]:
+        """Per position, the positions it transitively depends on (bit i is
+        packets[i]); unknown parents are skipped, and a packet on a dependency
+        cycle is its own ancestor."""
+        pos = self._pos
+        return close([sum(1 << pos[x] for x in p.parents if x in pos) for p in self.packets])
+
+    @cached_property
+    def descendant_masks(self) -> list[int]:
+        """Per position, the positions that transitively depend on it."""
+        desc = [0] * len(self.packets)
+        for i, anc in enumerate(self.ancestor_masks):
+            for a in _bits(anc):
+                desc[a] |= 1 << i
+        return desc
+
+    @cached_property
     def has_dependencies(self) -> bool:
         return any(p.parents for p in self.packets)
 
@@ -88,7 +128,6 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
         if p.id in seen:
             out.append(f"packet {p.id}: duplicate id")
         seen.add(p.id)
-    ids = {p.id for p in trace.packets}
     for p in trace.packets:
         for name in ("size_bits", "distortion"):
             if not math.isfinite(getattr(p, name)):
@@ -105,7 +144,7 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
             if parent == p.id:
                 out.append(f"packet {p.id}: depends on itself")
                 continue
-            if parent not in ids:
+            if parent not in trace.by_id:
                 out.append(f"packet {p.id}: unknown parent {parent}")
                 continue
             par = trace.by_id[parent]
@@ -117,9 +156,10 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
                 out.append(
                     f"packet {p.id}: parent {parent} expires later ({par.deadline} > {p.deadline})"
                 )
-    cycle = _find_cycle(trace)
-    if cycle:
-        out.append("dependency cycle: " + " -> ".join(str(i) for i in cycle))
+    anc = trace.ancestor_masks
+    looped = sorted(p.id for i, p in enumerate(trace.packets) if anc[i] >> i & 1)
+    if looped:
+        out.append("dependency cycle through packets " + ", ".join(map(str, looped)))
     if require_uniform_size and trace.packets:
         sizes = {p.size_bits for p in trace.packets}
         if len(sizes) > 1:
@@ -127,31 +167,37 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
     return out
 
 
-def _find_cycle(trace: MediaTrace) -> list[int] | None:
-    ids = {p.id for p in trace.packets}
-    color: dict[int, int] = {}  # 0 unvisited, 1 on stack, 2 done
+def _read_object(doc, fields, error, where: str | None = None, optional=frozenset()) -> dict:
+    """doc as a JSON object with every field but the optional ones, and no other.
 
-    for start in sorted(ids):
-        if color.get(start):
-            continue
-        stack: list[tuple[int, list[int]]] = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            if node < 0:
-                color[-node - 1] = 2
-                continue
-            if color.get(node) == 2:
-                continue
-            color[node] = 1
-            stack.append((-node - 1, path))
-            for parent in sorted(trace.by_id[node].parents):
-                if parent not in ids:
-                    continue
-                if color.get(parent) == 1:
-                    return path + [parent]
-                if not color.get(parent):
-                    stack.append((parent, path + [parent]))
-    return None
+    With where None, doc is the document itself (bytes, text or a readable
+    file) and is parsed first; otherwise doc is an entry already parsed and
+    where names it in messages. Every failure raises error, so no parser
+    exception escapes a loader.
+    """
+    if where is None:
+        where = "top level"
+        try:
+            raw = doc.read() if hasattr(doc, "read") else doc
+            doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8 and overlong numbers
+            raise error(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{where} is not an object")
+    unknown = set(doc) - fields
+    if unknown:
+        raise error(f"{where}: unknown fields {sorted(unknown)}")
+    missing = fields - optional - set(doc)
+    if missing:
+        raise error(f"{where}: missing fields {sorted(missing)}")
+    return doc
+
+
+def _json_int(value) -> int:
+    """A JSON integer: not a bool, a string or a number with a fraction or exponent."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def load_trace(source) -> MediaTrace:
@@ -160,51 +206,30 @@ def load_trace(source) -> MediaTrace:
     Raises TraceFormatError on malformed documents and TraceValidationError
     when the parsed packets break trace invariants.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        raw = source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TraceFormatError("top level must be an object")
-    unknown = set(doc) - _TRACE_FIELDS
-    if unknown:
-        raise TraceFormatError(f"unknown top-level fields {sorted(unknown)}")
-    if "packets" not in doc or not isinstance(doc["packets"], list):
-        raise TraceFormatError("missing or non-list 'packets' field")
+    doc = _read_object(source, _TRACE_FIELDS, TraceFormatError)
+    if not isinstance(doc["packets"], list):
+        raise TraceFormatError("'packets' must be a list")
 
     packets = []
     for pos, entry in enumerate(doc["packets"]):
-        if not isinstance(entry, dict):
-            raise TraceFormatError(f"packet at position {pos} is not an object")
-        unknown = set(entry) - _PACKET_FIELDS
-        if unknown:
-            raise TraceFormatError(
-                f"packet at position {pos}: unknown fields {sorted(unknown)}"
-            )
-        missing = _PACKET_FIELDS - {"parents"} - set(entry)
-        if missing:
-            raise TraceFormatError(
-                f"packet at position {pos}: missing fields {sorted(missing)}"
-            )
+        where = f"packet at position {pos}"
+        entry = _read_object(entry, _PACKET_FIELDS, TraceFormatError, where, {"parents"})
         try:
+            parents = entry.get("parents", [])
+            if not isinstance(parents, list):
+                raise TypeError("parents must be a list")
             packets.append(
                 Packet(
-                    id=int(entry["id"]),
+                    id=_json_int(entry["id"]),
                     size_bits=float(entry["size_bits"]),
                     distortion=float(entry["distortion"]),
-                    arrival=int(entry["arrival"]),
-                    deadline=int(entry["deadline"]),
-                    parents=frozenset(int(x) for x in entry.get("parents", [])),
+                    arrival=_json_int(entry["arrival"]),
+                    deadline=_json_int(entry["deadline"]),
+                    parents=frozenset(map(_json_int, parents)),
                 )
             )
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(f"packet at position {pos}: bad field value ({exc})") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TraceFormatError(f"{where}: bad field value ({exc})") from exc
 
     trace = MediaTrace(packets=tuple(packets))
     violations = validate_trace(trace)
@@ -233,32 +258,18 @@ def dump_trace(trace: MediaTrace) -> str:
 
 def descendants(trace: MediaTrace, packet_id: int) -> set[int]:
     """All packets that transitively depend on packet_id."""
-    if packet_id not in trace.by_id:
-        raise ValueError(f"unknown packet id {packet_id}")
-    out: set[int] = set()
-    frontier = [packet_id]
-    while frontier:
-        node = frontier.pop()
-        for kid in trace.children[node]:
-            if kid not in out:
-                out.add(kid)
-                frontier.append(kid)
-    return out
+    return _relatives(trace, packet_id, trace.descendant_masks)
 
 
 def ancestors(trace: MediaTrace, packet_id: int) -> set[int]:
     """All packets that packet_id transitively depends on."""
-    if packet_id not in trace.by_id:
+    return _relatives(trace, packet_id, trace.ancestor_masks)
+
+
+def _relatives(trace: MediaTrace, packet_id: int, masks: list[int]) -> set[int]:
+    if packet_id not in trace._pos:
         raise ValueError(f"unknown packet id {packet_id}")
-    out: set[int] = set()
-    frontier = [packet_id]
-    while frontier:
-        node = frontier.pop()
-        for parent in trace.by_id[node].parents:
-            if parent in trace.by_id and parent not in out:
-                out.add(parent)
-                frontier.append(parent)
-    return out
+    return {trace.packets[i].id for i in _bits(masks[trace._pos[packet_id]])}
 
 
 def synth_trace(

@@ -15,17 +15,17 @@ When no three packets are mutually unordered its nonempty-set count is the
 packet count plus the number of unordered pairs (the disconnection degree);
 larger unordered clusters push the count above that.
 
-One bitmask core computes the relation (descendant masks once per trace),
-its closure, its transitive reduction and root peeling. The id-set
-functions are adapters around it, and the solver's trace index uses it
-directly.
+One bitmask core computes the relation (from the ancestor and descendant
+masks each trace caches), its closure, its transitive reduction and root
+peeling. The id-set functions are adapters around it, and the solver's
+trace index uses it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .media import MediaTrace, ancestors, descendants
+from .media import MediaTrace, _bits, close
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,12 @@ def higher_priority(j, k, trace: MediaTrace) -> str:
     """
     if j.id == k.id:
         raise ValueError("cannot order a packet against itself")
-    bit = {p.id: 1 << i for i, p in enumerate(trace.packets)}
-    desc_j, desc_k = (sum(bit[x] for x in descendants(trace, p.id)) for p in (j, k))
-    anc_j, anc_k = (sum(bit[x] for x in ancestors(trace, p.id)) for p in (j, k))
-    verdict = _order(j, k, bit[j.id], bit[k.id], desc_j, desc_k, anc_j, anc_k)
+    for p in (j, k):
+        if p.id not in trace._pos:
+            raise ValueError(f"unknown packet id {p.id}")
+    a, b = trace._pos[j.id], trace._pos[k.id]
+    desc, anc = trace.descendant_masks, trace.ancestor_masks
+    verdict = _order(j, k, 1 << a, 1 << b, desc[a], desc[b], anc[a], anc[b])
     return ("k_before_j", "incomparable", "j_before_k")[verdict + 1]
 
 
@@ -112,22 +114,14 @@ def _order(
 # ---------------------------------------------------------------------------
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _ids(frame, mask: int) -> frozenset[int]:
     return frozenset(frame[i] for i in _bits(mask))
 
 
 def outranked_by(trace: MediaTrace, ids) -> list[int]:
     """Per position in ids, the mask of the ids outranking it (not closed)."""
-    pos = {p.id: i for i, p in enumerate(trace.packets)}
-    desc = close([sum(1 << pos[c] for c in trace.children[p.id]) for p in trace.packets])
-    anc = close([sum(1 << pos[c] for c in p.parents) for p in trace.packets])
+    pos = trace._pos
+    desc, anc = trace.descendant_masks, trace.ancestor_masks
     packets = [trace.by_id[x] for x in ids]
     at = [pos[x] for x in ids]
     pred = [0] * len(at)
@@ -150,17 +144,6 @@ def arrival_ordered(trace: MediaTrace, ids, pred: list[int]) -> list[int]:
         sum(1 << a for a in _bits(mask) if arrival[a] <= arrival[b])
         for b, mask in enumerate(pred)
     ]
-
-
-def close(rel: list[int]) -> list[int]:
-    """Transitive closure of a relation (Warshall over the masks)."""
-    reach = list(rel)
-    for k in range(len(reach)):
-        bit, via = 1 << k, reach[k]
-        for i, mask in enumerate(reach):
-            if mask & bit:
-                reach[i] = mask | via
-    return reach
 
 
 def reduce_closed(closed: list[int]) -> list[int]:

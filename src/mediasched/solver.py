@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelModel, CostModel, marginal_cost
-from .media import MediaTrace, validate_trace, TraceValidationError
+from .media import MediaTrace, TraceValidationError, _bits, validate_trace
 from .priority import arrival_ordered, outranked_by, peel
 from .single_packet import ThresholdPolicy, act_single, solve_single
 
@@ -232,13 +232,7 @@ class _TraceIndex:
 
     def _parents_in(self, pending: int, tx: int) -> bool:
         """Every pending parent of a packet in tx is itself in tx."""
-        mm = tx
-        while mm:
-            low = mm & -mm
-            if self.parent_mask[low.bit_length() - 1] & pending & ~tx:
-                return False
-            mm ^= low
-        return True
+        return not any(self.parent_mask[i] & pending & ~tx for i in _bits(tx))
 
     def batch_cost(self, tx: int, state, cost: CostModel) -> float:
         if tx == 0:
@@ -389,23 +383,26 @@ class DecomposedPolicy(_Policy):
 
     per_packet: dict[int, ThresholdPolicy]
     powers: list[np.ndarray]  # powers[k]: k-step transition matrix
+    idx: _TraceIndex
 
     mode = "linear_decomposed"
 
     def decide(self, state: JointState) -> list[int]:
         """Pending packet ids whose stopping rule fires in state.t, in id order."""
+        self.idx.state_masks(state)  # refuses what SolvedPolicy refuses
         return [pid for pid in sorted(state.pending)
                 if act_single(self.per_packet[pid], state.t, state.channel)]
 
     def state_value(self, state: JointState) -> float:
+        pending, _ = self.idx.state_masks(state)
         t, h = state.t, state.channel
         total = 0.0
-        for p in self.trace.packets:
+        for i, p in enumerate(self.trace.packets):
             if p.deadline < t:
                 continue
             tp = self.per_packet[p.id]
             if p.arrival <= t:
-                if p.id in state.pending:
+                if pending >> i & 1:
                     total += tp.values[t - p.arrival, h]
             else:
                 lag = p.arrival - t
@@ -455,23 +452,16 @@ class SolvedPolicy(_Policy):
         pending, dmask = self.idx.state_masks(state)
         return _state_entry(self, state.t, pending, dmask, state.channel)[0]
 
-    def canonical_post_items(self, t: int) -> dict[str, float]:
-        label = self.idx.label
-        return {
-            label(t + 1, bmask, dmask, h): v
-            for (bmask, dmask, h), v in self.table.post_values[t].items()
-        }
-
     def _dump_tables(self) -> dict:
+        label = self.idx.label
         return {
             "slots": [
                 {
-                    "t": t,
-                    "visited_states": self.table.visited[t],
-                    "stored_post_states": self.table.stored[t],
-                    "comparisons": self.table.comparisons[t],
-                    "extra_states": self.table.extra[t],
-                    "post_values": self.canonical_post_items(t),
+                    **_slot_counts(self.table, t),
+                    "post_values": {
+                        label(t + 1, bmask, dmask, h): v
+                        for (bmask, dmask, h), v in self.table.post_values[t].items()
+                    },
                 }
                 for t in range(self.idx.horizon + 1)
             ]
@@ -614,6 +604,7 @@ def solve_linear(
         lam=lam,
         per_packet=per_packet,
         powers=powers,
+        idx=_index_for(trace),
     )
 
 
@@ -722,43 +713,41 @@ def _check_common(
 # ---------------------------------------------------------------------------
 
 
+def _slot_counts(table: ValueTable, t: int) -> dict:
+    """Slot t's counters, as the dump and complexity_report both list them."""
+    return {
+        "t": t,
+        "visited_states": table.visited[t],
+        "stored_post_states": table.stored[t],
+        "comparisons": table.comparisons[t],
+        "extra_states": table.extra[t],
+    }
+
+
 def complexity_report(policy: SolvedPolicy) -> list[dict]:
     """Per-slot state and work counts next to the flat-enumeration reference."""
     if not isinstance(policy, SolvedPolicy):
         raise ValueError("complexity accounting needs a table-based policy")
-    idx = policy.idx
     std = standard_dp_counts(policy.trace, policy.channel)
-    rows = []
-    for t in range(idx.horizon + 1):
-        rows.append(
-            {
-                "t": t,
-                "visited_states": policy.table.visited[t],
-                "stored_post_states": policy.table.stored[t],
-                "comparisons": policy.table.comparisons[t],
-                "extra_states": policy.table.extra[t],
-                "std_states": std[t]["states"],
-                "std_post_states": std[t]["post_states"],
-                "std_comparisons": std[t]["comparisons"],
-            }
-        )
-    return rows
+    return [
+        {
+            **_slot_counts(policy.table, t),
+            "std_states": row["states"],
+            "std_post_states": row["post_states"],
+            "std_comparisons": row["comparisons"],
+        }
+        for t, row in enumerate(std)
+    ]
 
 
 def standard_dp_counts(trace: MediaTrace, channel: ChannelModel) -> list[dict]:
     """Flat-enumeration reference: every live subset at every slot."""
     idx = _index_for(trace)
-    n_h = channel.n_states
     out = []
-    per_slot = []
-    for t in range(idx.horizon + 1):
-        n_live = bin(idx.live_mask[t]).count("1")
-        states = n_h * (1 << idx.dep_mask[t].bit_count()) * (1 << n_live)
-        per_slot.append((states, states * (1 << n_live)))
-    for t in range(idx.horizon + 1):
-        states, comps = per_slot[t]
-        post = per_slot[t + 1][0] if t + 1 <= idx.horizon else 0
-        out.append(
-            {"t": t, "states": states, "post_states": post, "comparisons": comps}
-        )
-    return out
+    post = 0  # slot t's post states are slot t + 1's states
+    for t in range(idx.horizon, -1, -1):
+        n_live = idx.live_mask[t].bit_count()
+        states = channel.n_states << (idx.dep_mask[t].bit_count() + n_live)
+        out.append({"t": t, "states": states, "post_states": post, "comparisons": states << n_live})
+        post = states
+    return out[::-1]

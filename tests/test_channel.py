@@ -84,6 +84,16 @@ def test_round_trip():
         assert np.array_equal(again.initial, model.initial)
 
 
+# A well-formed one-state document. The malformed cases below edit one field
+# of it, so the test that it loads keeps each of them malformed by its edit alone.
+CHANNEL = ('{"states": [{"id": 0, "gain": 1, "rate": 1, "loss_prob": 0}], '
+           '"transition": [[1]], "initial": [1]}')
+
+
+def test_single_state_document_loads():
+    assert load_channel(CHANNEL).states == (ChannelState(0, 1.0, 1.0, 0.0),)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -96,6 +106,16 @@ def test_round_trip():
         '{"transition": [[1]], "initial": [1]}',
         '{"states": [{"id": 0, "gain": 1, "rate": 1, "loss_prob": 0}], '
         '"transition": [[1]], "initial": [1], "junk": 0}',
+        pytest.param(CHANNEL.encode().replace(b'"gain"', b'"g\xe9in"'), id="not-utf8"),
+        pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param(CHANNEL.replace('"gain": 1', '"gain": 1' + "0" * 5000), id="5000-digits"),
+        pytest.param(CHANNEL.replace('"gain": 1', '"gain": 1' + "0" * 400), id="float-10**400"),
+        pytest.param(CHANNEL.replace("[[1]]", "[[1" + "0" * 400 + "]]"),
+                     id="transition-10**400"),
+        pytest.param(CHANNEL.replace('"id": 0', '"id": 1e400'), id="int-1e400"),
+        pytest.param(CHANNEL.replace('"id": 0', '"id": 0.5'), id="int-fraction"),
+        pytest.param(CHANNEL.replace('"id": 0', '"id": false'), id="int-bool"),
+        pytest.param(CHANNEL.replace('"id": 0', '"id": "0"'), id="int-string"),
     ],
 )
 def test_load_rejects_malformed(doc):
@@ -199,6 +219,24 @@ def channels(draw):
 def test_sample_path_draws_what_rng_choice_draws(model, horizon, seeds):
     for seed in seeds:
         assert sample_path(model, horizon, seed) == choice_walk(model, horizon, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(channels(), st.data())
+def test_generated_channels_round_trip(shape, data):
+    # channels() fixes the chain; the state attributes are drawn here
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    states = tuple(
+        ChannelState(id=s.id, gain=data.draw(positive), rate=data.draw(positive),
+                     loss_prob=data.draw(st.floats(0.0, 1.0, exclude_max=True)))
+        for s in shape.states
+    )
+    model = ChannelModel(states=states, transition=shape.transition, initial=shape.initial)
+    assert validate_channel(model) == []
+    again = load_channel(dump_channel(model))
+    assert again.states == model.states
+    assert np.array_equal(again.transition, model.transition)
+    assert np.array_equal(again.initial, model.initial)
 
 
 @pytest.mark.parametrize("row", [[0.5999999, 0.4], [-1e-10, 1.0 + 1e-10]])

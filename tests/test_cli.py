@@ -1,11 +1,16 @@
 """End-to-end runs of the command line front end against temp directories."""
 
 import csv
+import io
 import json
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mediasched import MediaTrace, Packet, dump_trace
+from mediasched import MediaTrace, Packet, dump_channel, dump_trace, volatile_scenario
 from mediasched.cli import main
 
 
@@ -195,6 +200,49 @@ def test_malformed_trace_fails_cleanly(tmp_path, volatile_dir, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+DOCS = dict(zip(("trace", "channel"), (dump(x) for dump, x in
+                                        zip((dump_trace, dump_channel), volatile_scenario()))))
+
+
+def value_at(target, key):
+    """Offset of the first value of key in a document."""
+    return DOCS[target].index(f'"{key}": ') + len(key) + 4
+
+
+# Splice rep over doc[start:start + length] in one of the two input files.
+# Replacements carry no digits, so a splice cannot grow a deadline far
+# enough to make the plan itself expensive; the examples put in the inputs
+# that once escaped the loaders.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    target=st.sampled_from(sorted(DOCS)),
+    start=st.integers(0, 1500),
+    length=st.integers(0, 30),
+    rep=st.text(st.characters(exclude_categories=("Nd",)), max_size=4),
+)
+@example(target="channel", start=0, length=10**6, rep="[" * 100000)
+@example(target="trace", start=value_at("trace", "size_bits"), length=3, rep="1" + "0" * 400)
+@example(target="channel", start=DOCS["channel"].index("0.65"), length=4, rep="1" + "0" * 400)
+@example(target="trace", start=value_at("trace", "arrival"), length=1, rep="1e400")
+def test_solve_on_mutated_documents_fails_cleanly(target, start, length, rep):
+    docs = dict(DOCS)
+    docs[target] = docs[target][:start] + rep + docs[target][start + length:]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in docs.items():
+            paths[name] = pathlib.Path(tmp, f"{name}.json")
+            paths[name].write_bytes(text.encode("utf-8", "surrogatepass"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["solve", "--trace", str(paths["trace"]),
+                       "--channel", str(paths["channel"]),
+                       "--out", str(pathlib.Path(tmp, "policy.json"))])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
 
 
 def test_simulate_rejects_a_single_episode(volatile_dir, capsys):

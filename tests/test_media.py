@@ -5,6 +5,7 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mediasched import (
     MediaTrace,
@@ -114,6 +115,36 @@ def test_round_trip():
         assert again == trace
 
 
+@st.composite
+def valid_traces(draw):
+    """Up to 8 packets with arbitrary distinct ids, finite attributes and
+    parents among the earlier packets that arrive and expire no later."""
+    n = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(-2**70, 2**70), min_size=n, max_size=n, unique=True))
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    packets = []
+    for pid in ids:
+        arrival = draw(st.integers(0, 50))
+        deadline = arrival + draw(st.integers(1, 50))
+        allowed = [p.id for p in packets if p.arrival <= arrival and p.deadline <= deadline]
+        packets.append(Packet(
+            id=pid,
+            size_bits=draw(positive),
+            distortion=draw(st.one_of(st.just(0.0), positive)),
+            arrival=arrival,
+            deadline=deadline,
+            parents=frozenset(draw(st.lists(st.sampled_from(allowed), max_size=3)) if allowed else ()),
+        ))
+    return MediaTrace(packets=tuple(packets))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(valid_traces())
+def test_generated_traces_round_trip(trace):
+    assert validate_trace(trace) == []
+    assert load_trace(dump_trace(trace)) == trace
+
+
 def test_load_accepts_bytes_and_files(tmp_path):
     trace = random_trace(np.random.default_rng(1))
     text = dump_trace(trace)
@@ -122,6 +153,16 @@ def test_load_accepts_bytes_and_files(tmp_path):
     p.write_text(text)
     with open(p) as fh:
         assert load_trace(fh) == trace
+
+
+# A well-formed one-packet document. The malformed cases below edit one field
+# of it, so the test that it loads keeps each of them malformed by its edit alone.
+PACKET = ('{"packets": [{"id": 1, "size_bits": 1, "distortion": 1, '
+          '"arrival": 0, "deadline": 2, "parents": []}]}')
+
+
+def test_single_packet_document_loads():
+    assert load_trace(PACKET).packets == (Packet(1, 1.0, 1.0, 0, 2),)
 
 
 @pytest.mark.parametrize(
@@ -137,6 +178,18 @@ def test_load_accepts_bytes_and_files(tmp_path):
         '"arrival": 0, "deadline": 2, "color": "red"}]}',
         '{"packets": [{"id": "x", "size_bits": 1, "distortion": 1, '
         '"arrival": 0, "deadline": 2}]}',
+        pytest.param(b'{"packets": [\xff]}', id="not-utf8"),
+        pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param('{"packets": [{"id": 1' + "0" * 5000 + '}]}', id="5000-digits"),
+        pytest.param(PACKET.replace('"arrival": 0', '"arrival": 1e400'), id="int-1e400"),
+        pytest.param(PACKET.replace('"size_bits": 1', '"size_bits": 1' + "0" * 400),
+                     id="float-10**400"),
+        pytest.param(PACKET.replace('"arrival": 0', '"arrival": 0.7'), id="int-fraction"),
+        pytest.param(PACKET.replace('"deadline": 2', '"deadline": 2.0'), id="int-written-2.0"),
+        pytest.param(PACKET.replace('"id": 1', '"id": true'), id="int-bool"),
+        pytest.param(PACKET.replace('"id": 1', '"id": "1"'), id="int-string"),
+        pytest.param(PACKET.replace('"parents": []', '"parents": "12"'), id="parents-string"),
+        pytest.param(PACKET.replace('"parents": []', '"parents": [false]'), id="parent-bool"),
     ],
 )
 def test_load_rejects_malformed_documents(doc):

@@ -1,14 +1,22 @@
 """Generated instances: the tree solver against the exhaustive reference,
 every stored value against the one-step Bellman equation on its own table,
-and the per-slot state count against the paper's closed form."""
+the per-slot state count against the paper's closed form, and the plan as
+an upper bound on acting with delayed channel feedback."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mediasched import (
+    SCENARIOS,
     CostModel,
     disconnection_degree,
     reachable_states,
+    run_episode,
+    sample_path,
+    solve,
     solve_convex,
     solve_exhaustive,
 )
@@ -99,3 +107,64 @@ def test_visited_states_follow_the_closed_form(inst):
         )
         expect = channel.n_states * 2**k_t * (len(aux.nodes) + disconnection_degree(aux))
         assert pol.table.visited[t] == expect, t
+
+
+# -- delayed feedback ----------------------------------------------------------
+#
+# The paper's solution bounds from above any scheme that learns the channel
+# state late, as RaDiO-style schedulers do. Losses stay off: the planner does
+# not model them, so the bound is only exact without them.
+
+
+class DelayedFeedback:
+    """Acts as the solved policy would on the channel state of slot t - delay."""
+
+    name = "delayed"
+
+    def __init__(self, inner, delay):
+        self.inner, self.delay, self.path = inner, delay, None
+
+    def decide(self, state):
+        seen = self.path[max(state.t - self.delay, 0)]
+        return self.inner.decide(replace(state, channel=seen))
+
+
+def check_delayed_feedback_bound(inst, delay, episodes):
+    trace, channel = inst[0], inst[1]
+    pol = solve(*inst)
+    late = DelayedFeedback(pol, delay)
+    diffs, late_utils = [], []
+    for i in range(episodes):
+        late.path = sample_path(channel, trace.horizon, seed=i)
+        planned = run_episode(pol, trace, channel, late.path, *inst[2:]).utility
+        delayed = run_episode(late, trace, channel, late.path, *inst[2:]).utility
+        diffs.append(planned - delayed)
+        late_utils.append(delayed)
+
+    def mean_and_se(xs):
+        xs = np.array(xs)
+        return xs.mean(), xs.std(ddof=1) / np.sqrt(len(xs))
+
+    # paired: the delayed scheme does not beat the plan episode by episode
+    gap, gap_se = mean_and_se(diffs)
+    assert gap >= -3 * gap_se, (gap, gap_se)
+    # exact form: the plan's expected value bounds the delayed mean
+    mean, se = mean_and_se(late_utils)
+    assert pol.expected_initial_value() >= mean - 3 * se, (pol.expected_initial_value(), mean, se)
+
+
+@pytest.mark.parametrize("delay", [1, 2])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_delayed_feedback_does_not_beat_the_plan_on_the_scenarios(name, delay):
+    check_delayed_feedback_bound(SCENARIOS[name](), delay, episodes=400)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_delayed_feedback_does_not_beat_the_plan_on_random_dependent_traces(seed):
+    rng = np.random.default_rng(seed)
+    trace = random_trace(rng, deps=True, uniform=True)
+    while not trace.has_dependencies:
+        trace = random_trace(rng, deps=True, uniform=True)
+    channel = random_channel(rng)
+    inst = (trace, channel, CostModel(kind="convex", slot_duration=2.0), 0.9, 1.0)
+    check_delayed_feedback_bound(inst, delay=1, episodes=300)

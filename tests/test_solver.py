@@ -25,6 +25,7 @@ from mediasched import (
     solve_linear,
     solve_single,
     standard_dp_counts,
+    volatile_scenario,
 )
 from mediasched.priority import close
 from mediasched.solver import _TraceIndex, _emissions, _resolve
@@ -325,6 +326,26 @@ def test_joint_engine_requires_uniform_sizes():
         with pytest.raises(Exception, match="nonuniform"):
             solve_convex(trace, flat_channel(), CostModel(kind=kind), 0.9, 1.0)
     solve_linear(trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0)
+
+
+def test_both_engines_reject_the_states_the_table_engine_rejects():
+    # Volatile packet 5 arrives at slot 2, and no packet is ever referenced
+    # after it expires, so every record is empty.
+    trace, channel, cost, alpha, lam = volatile_scenario()
+    engines = [solve_linear(trace, channel, cost, alpha, lam),
+               solve_convex(trace, channel, cost, alpha, lam)]
+    bad = [
+        JointState(0, frozenset({99}), (), 0),  # unknown id
+        JointState(0, frozenset({1, 5}), (), 0),  # packet 5 not yet live
+        JointState(1, frozenset({1}), ((1, True),), 0),  # stale record
+        JointState(trace.horizon + 1, frozenset(), (), 0),  # past the horizon
+    ]
+    for state in bad:
+        for pol in engines:
+            with pytest.raises(ValueError):
+                pol.decide(state)
+            with pytest.raises(ValueError):
+                pol.state_value(state)
 
 
 def test_parameter_validation():

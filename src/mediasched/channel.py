@@ -6,6 +6,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class ChannelModel:
     transition: np.ndarray  # row-stochastic, transition[h, h']
     initial: np.ndarray
 
-    @property
+    @cached_property  # read on every decide
     def n_states(self) -> int:
         return len(self.states)
 

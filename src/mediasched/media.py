@@ -17,6 +17,9 @@ import numpy as np
 
 _TRACE_FIELDS = {"packets"}
 _PACKET_FIELDS = {"id", "size_bits", "distortion", "arrival", "deadline", "parents"}
+# Every per-slot table is sized by the largest deadline, so this bounds the
+# memory and time of indexing, planning and simulating a valid trace.
+MAX_DEADLINE = 2**16
 
 
 def _bits(mask: int):
@@ -140,6 +143,8 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
             out.append(f"packet {p.id}: arrival must be nonnegative")
         if not p.arrival < p.deadline:
             out.append(f"packet {p.id}: arrival must precede deadline")
+        if p.deadline > MAX_DEADLINE:
+            out.append(f"packet {p.id}: deadline above {MAX_DEADLINE}")
         for parent in sorted(p.parents):
             if parent == p.id:
                 out.append(f"packet {p.id}: depends on itself")

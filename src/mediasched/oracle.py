@@ -50,12 +50,12 @@ class ExhaustiveSolution(_Policy):
 
     def decide(self, state: JointState) -> list[int]:
         idx = self.idx
-        pending, dmask = idx.state_masks(state)
+        pending, dmask = idx.state_masks(state, self.channel.n_states)
         tx = self.actions[state.t][(pending, dmask, state.channel)]
         return [idx.ids[i] for i in idx.topo if tx >> i & 1]
 
     def state_value(self, state: JointState) -> float:
-        pending, dmask = self.idx.state_masks(state)
+        pending, dmask = self.idx.state_masks(state, self.channel.n_states)
         return float(self.values[state.t][(pending, dmask)][state.channel])
 
     def _dump_tables(self) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, CostModel, averaged_channel, path_sampler
-from .media import MediaTrace
+from .media import MediaTrace, TraceValidationError, validate_trace
 from .solver import DecomposedPolicy, JointState, SolvedPolicy, _index_for, solve, solve_convex
 
 
@@ -67,6 +67,8 @@ def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_r
         raise ValueError("channel path shorter than the trace horizon")
     if not 0.0 <= loss_rate < 1.0:
         raise ValueError("loss_rate must lie in [0, 1)")
+    if cost.kind == "convex" and not idx.uniform:
+        raise TraceValidationError(validate_trace(trace, require_uniform_size=True))
     rng = np.random.default_rng(seed) if loss_rate > 0.0 else None
 
     # The loop carries masks; a JointState is built only for policy.decide.
@@ -206,10 +208,12 @@ class DistortionGreedyPolicy:
 
     def __post_init__(self):
         self.idx = _index_for(self.trace)
+        if self.cost.kind == "convex" and not self.idx.uniform:
+            raise TraceValidationError(validate_trace(self.trace, require_uniform_size=True))
 
     def decide(self, state: JointState) -> list[int]:
         idx = self.idx
-        pending, dmask = idx.state_masks(state)
+        pending, dmask = idx.state_masks(state, self.channel.n_states)
         sched = idx.schedulable(state.t, pending, dmask)
         cands = [
             i for i in range(idx.n)

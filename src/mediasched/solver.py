@@ -1,8 +1,8 @@
 """Finite-horizon schedulers for whole traces.
 
 Joint state at slot t: the set of live packets not yet delivered, a
-delivered/undelivered record for expired packets that live packets still
-reference, and the channel state. A packet whose expired ancestor went
+delivered/undelivered record for expired packets that live or later-arriving
+packets reference, and the channel state. A packet whose expired ancestor went
 undelivered stays in the pending set until its own deadline but is never
 schedulable, so the pending sets visited by priority-respecting policies
 are exactly the root-peeling family of the per-slot auxiliary graph.
@@ -26,9 +26,9 @@ Two engines, each with its own policy class:
 A pending set is a bitmask over packet positions in the trace. The
 delivery record is a bitmask in the same numbering: bit i is set when the
 expired packet at position i was delivered. Only the positions in
-_TraceIndex.dep_mask[t] (expired packets some live packet still references)
-appear in slot t's record, so the records of slot t are the submasks of that
-mask. _TraceIndex is the one place that reads or writes this encoding.
+_TraceIndex.dep_mask[t] (expired packets that a live or later-arriving packet
+references, even after a gap) appear in slot t's record, whose values are the
+submasks of that mask. _TraceIndex alone reads or writes this encoding.
 
 Post-decision values are keyed by the stripped pending set (expiring
 packets removed), the dependency record already advanced to the next slot,
@@ -57,10 +57,6 @@ from .single_packet import ThresholdPolicy, act_single, solve_single
 
 class SolverError(RuntimeError):
     """Internal consistency failure in the value tables."""
-
-
-class UnsupportedTraceError(ValueError):
-    """The trace shape falls outside what the state encoding can carry."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,7 @@ class _TraceIndex:
         self.deadline = tuple(p.deadline for p in trace.packets)
         self.horizon = trace.horizon
         self.unit = self.size[0] if self.size else 1.0
+        self.uniform = len(set(self.size)) <= 1  # else batch_cost misprices convex batches
 
         self.parent_mask = [0] * n
         self.children: list[list[int]] = [[] for _ in range(n)]
@@ -150,32 +147,15 @@ class _TraceIndex:
         return order
 
     def _build_dep_masks(self):
-        """Per slot, the expired packets whose delivery state still matters."""
-        hz = self.horizon
-        members: list[list[int]] = [[] for _ in range(hz + 2)]
-        for i in range(self.n):
-            # slots after i expired in which some child of i is live
-            ts = sorted({
-                t
-                for j in self.children[i]
-                for t in range(max(self.arrival[j], self.deadline[i] + 1), self.deadline[j] + 1)
-            })
-            if not ts:
-                continue
-            # The record can only carry a bit forward from the previous slot or
-            # pick it up at the expiry boundary; a packet whose references resume
-            # after a gap would need history the state no longer holds.
-            if ts[0] != self.deadline[i] + 1 or ts[-1] - ts[0] + 1 != len(ts):
-                raise UnsupportedTraceError(
-                    f"packet {self.ids[i]} is referenced by dependents across a slot gap "
-                    "after its deadline; delivery state cannot be carried"
-                )
-            for t in ts:
+        """Per slot, the expired packets whose delivery state still matters:
+        packet i from the slot after its deadline to its children's last
+        deadline, so its bit rides through slots where no child is live yet."""
+        members: list[list[int]] = [[] for _ in range(self.horizon + 2)]
+        for i, kids in enumerate(self.children):
+            last = max((self.deadline[j] for j in kids), default=-1)
+            for t in range(self.deadline[i] + 1, last + 1):
                 members[t].append(i)
         self.dep_mask = [sum(1 << i for i in m) for m in members]
-        for t in range(hz + 1):
-            if self.dep_mask[t + 1] & ~self.dep_mask[t] & ~self.expire_mask[t]:
-                raise SolverError("dependency record lost a referenced packet")
         # dep_record[t]: (packet id, position) sorted by id, the order of
         # JointState.deps; dep_ids[t]: the ids alone.
         self.dep_record = [tuple(sorted((self.ids[i], i) for i in m)) for m in members]
@@ -275,10 +255,13 @@ class _TraceIndex:
             mask ^= low
         return frozenset(out)
 
-    def state_masks(self, state: JointState) -> tuple[int, int]:
+    def state_masks(self, state: JointState, n_states: int) -> tuple[int, int]:
+        """Pending and record masks of state, on a channel of n_states states."""
         t = state.t
         if not 0 <= t <= self.horizon:
             raise ValueError(f"slot {t} outside horizon {self.horizon}")
+        if not 0 <= state.channel < n_states:
+            raise ValueError(f"channel state {state.channel} outside 0..{n_states - 1}")
         pending = self.mask_of(state.pending)
         if pending & ~self.live_mask[t]:
             raise ValueError("pending contains packets not live at this slot")
@@ -331,7 +314,7 @@ def advance_state(
     undelivered live parents included in the same batch.
     """
     idx = _index_for(trace)
-    pending, dmask = idx.state_masks(state)
+    pending, dmask = idx.state_masks(state, math.inf)  # no channel model to bound it by
     tx = idx.mask_of(transmitted)
     if not idx.feasible_batch(state.t, pending, dmask, tx):
         raise ValueError("transmitted set is not a legal emission for this state")
@@ -389,12 +372,12 @@ class DecomposedPolicy(_Policy):
 
     def decide(self, state: JointState) -> list[int]:
         """Pending packet ids whose stopping rule fires in state.t, in id order."""
-        self.idx.state_masks(state)  # refuses what SolvedPolicy refuses
+        self.idx.state_masks(state, self.channel.n_states)  # refuses what SolvedPolicy refuses
         return [pid for pid in sorted(state.pending)
                 if act_single(self.per_packet[pid], state.t, state.channel)]
 
     def state_value(self, state: JointState) -> float:
-        pending, _ = self.idx.state_masks(state)
+        pending, _ = self.idx.state_masks(state, self.channel.n_states)
         t, h = state.t, state.channel
         total = 0.0
         for i, p in enumerate(self.trace.packets):
@@ -445,11 +428,11 @@ class SolvedPolicy(_Policy):
 
     def decide(self, state: JointState) -> list[int]:
         """Ordered packet ids to emit in state.t."""
-        pending, dmask = self.idx.state_masks(state)
+        pending, dmask = self.idx.state_masks(state, self.channel.n_states)
         return list(_state_entry(self, state.t, pending, dmask, state.channel)[1])
 
     def state_value(self, state: JointState) -> float:
-        pending, dmask = self.idx.state_masks(state)
+        pending, dmask = self.idx.state_masks(state, self.channel.n_states)
         return _state_entry(self, state.t, pending, dmask, state.channel)[0]
 
     def _dump_tables(self) -> dict:

@@ -2,8 +2,9 @@
 
 Everything is driven by explicit numpy generators so failures replay from
 the seed alone. Dependency draws keep parents arriving and expiring no
-later than their children and start every child no later than one slot
-after its parent expires, which keeps delivery records carryable.
+later than their children. Unless gaps are asked for, they also start every
+child no later than one slot after its parent expires, so no reference
+resumes after a slot gap in which the parent's delivery bit is only carried.
 """
 
 from itertools import combinations
@@ -45,6 +46,7 @@ def random_trace(
     horizon: int | None = None,
     deps: bool = False,
     uniform: bool = False,
+    gaps: bool = False,
 ) -> MediaTrace:
     n = int(rng.integers(2, 7)) if n is None else n
     horizon = int(rng.integers(3, 9)) if horizon is None else horizon
@@ -60,7 +62,7 @@ def random_trace(
                 for pk in packets
                 if pk.arrival <= a
                 and pk.deadline <= d
-                and a <= pk.deadline + 1
+                and (gaps or a <= pk.deadline + 1)
                 and rng.random() < 0.4
             )
         packets.append(
@@ -74,6 +76,17 @@ def random_trace(
             )
         )
     return MediaTrace(packets=tuple(packets))
+
+
+def has_reference_gap(trace: MediaTrace) -> bool:
+    """Some packet is referenced again after a slot, past its deadline, in
+    which none of its children is live."""
+    for p in trace.packets:
+        kids = [c for c in trace.packets if p.id in c.parents]
+        for t in range(p.deadline + 1, max((c.deadline for c in kids), default=0)):
+            if not any(c.arrival <= t <= c.deadline for c in kids):
+                return True
+    return False
 
 
 # -- pairwise-only filters ----------------------------------------------------

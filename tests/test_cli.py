@@ -190,16 +190,25 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
 
 
 def test_malformed_trace_fails_cleanly(tmp_path, volatile_dir, capsys):
+    # Deadlines past the horizon bound, which per-slot tables would be sized by.
+    docs = ['{"packets": [{"id": 1}]}'] + [
+        json.dumps({"packets": [{"id": 1, "size_bits": 1, "distortion": 1,
+                                 "arrival": 0, "deadline": d}]})
+        for d in (10**8, 2**62, 10**400)
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text('{"packets": [{"id": 1}]}')
-    rc = main([
-        "solve",
-        "--trace", str(bad),
-        "--channel", str(volatile_dir / "channel.json"),
-        "--out", str(tmp_path / "p.json"),
-    ])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for doc in docs:
+        bad.write_text(doc)
+        for cost in ("linear", "convex"):
+            rc = main([
+                "solve",
+                "--trace", str(bad),
+                "--channel", str(volatile_dir / "channel.json"),
+                "--cost", cost,
+                "--out", str(tmp_path / "p.json"),
+            ])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error:")
 
 
 DOCS = dict(zip(("trace", "channel"), (dump(x) for dump, x in
@@ -275,7 +284,7 @@ def test_simulate_accepts_a_row_inside_the_validation_tolerance(standard_dir, ca
     assert "over 20 episodes" in captured.out
 
 
-def test_reference_gap_is_reported(tmp_path, volatile_dir, capsys):
+def test_reference_gap_is_solved(tmp_path, volatile_dir, capsys):
     trace = MediaTrace(packets=(
         Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=1),
         Packet(id=2, size_bits=1.0, distortion=4.0, arrival=5, deadline=6,
@@ -283,14 +292,40 @@ def test_reference_gap_is_reported(tmp_path, volatile_dir, capsys):
     ))
     path = tmp_path / "gapped.json"
     path.write_text(dump_trace(trace))
+    out = tmp_path / "p.json"
     rc = main([
         "solve",
         "--trace", str(path),
         "--channel", str(volatile_dir / "channel.json"),
-        "--out", str(tmp_path / "p.json"),
+        "--out", str(out),
     ])
-    assert rc == 1
-    assert "slot gap" in capsys.readouterr().err
+    assert rc == 0, capsys.readouterr().err
+    slots = json.loads(out.read_text())["slots"]
+    # Post-decision keys name the next slot's record: packet 1's bit from
+    # slot 2, where packet 2 is not live yet, through slot 6.
+    for t, slot in enumerate(slots):
+        assert all(("D=1:" in key) == (1 <= t <= 5) for key in slot["post_values"]), t
+
+
+def test_convex_simulation_refuses_mixed_packet_sizes(tmp_path, standard_dir, capsys):
+    # A convex batch is priced by its packet count, so one size is required.
+    trace = MediaTrace(packets=(
+        Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=2),
+        Packet(id=2, size_bits=4.0, distortion=9.0, arrival=0, deadline=2),
+    ))
+    path = tmp_path / "mixed.json"
+    path.write_text(dump_trace(trace))
+    for policy in ("greedy", "proposed"):
+        rc = main([
+            "simulate",
+            "--trace", str(path),
+            "--channel", str(standard_dir / "channel.json"),
+            "--cost", "convex",
+            "--policy", policy,
+            "--episodes", "4",
+        ])
+        assert rc == 1
+        assert "nonuniform packet sizes" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -198,14 +198,22 @@ def test_load_rejects_malformed_documents(doc):
 
 
 def test_load_rejects_invalid_trace():
-    doc = {
-        "packets": [
-            {"id": 1, "size_bits": 1.0, "distortion": 1.0, "arrival": 2, "deadline": 2}
-        ]
-    }
-    with pytest.raises(TraceValidationError) as err:
-        load_trace(json.dumps(doc))
-    assert any("precede deadline" in v for v in err.value.violations)
+    for arrival, deadline, violation in [
+        (2, 2, "precede deadline"),
+        (0, 2**16 + 1, "deadline above"),
+        (0, 10**8, "deadline above"),
+        (0, 2**62, "deadline above"),
+        (0, 10**400, "deadline above"),
+    ]:
+        doc = {
+            "packets": [
+                {"id": 1, "size_bits": 1.0, "distortion": 1.0, "arrival": arrival,
+                 "deadline": deadline}
+            ]
+        }
+        with pytest.raises(TraceValidationError) as err:
+            load_trace(json.dumps(doc))
+        assert any(violation in v for v in err.value.violations)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Generated instances: the tree solver against the exhaustive reference,
 every stored value against the one-step Bellman equation on its own table,
 the per-slot state count against the paper's closed form, and the plan as
-an upper bound on acting with delayed channel feedback."""
+an upper bound on acting with delayed channel feedback. Gap instances, where
+a packet is referenced again after a slot gap past its deadline, get the
+same checks, plus the plan against lossless Monte Carlo."""
 
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from mediasched import (
     SCENARIOS,
     CostModel,
     disconnection_degree,
+    monte_carlo,
     reachable_states,
     run_episode,
     sample_path,
@@ -20,23 +23,35 @@ from mediasched import (
     solve_convex,
     solve_exhaustive,
 )
-from conftest import random_channel, random_trace, rel_close, slotwise_pairwise_only
+from mediasched.solver import _TraceIndex
+from conftest import (
+    has_reference_gap,
+    random_channel,
+    random_trace,
+    rel_close,
+    slotwise_pairwise_only,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def instances(draw):
+def instances(draw, gaps=False):
     """At most 8 packets of one size, with or without dependencies, and 1-3
-    channel states; hypothesis picks the shape, a drawn seed the numbers."""
+    channel states; hypothesis picks the shape, a drawn seed the numbers.
+    With gaps, the trace has some reference that resumes after a slot gap
+    past its parent's deadline, over a horizon of 4-8."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    trace = random_trace(
-        rng,
-        n=draw(st.integers(1, 8)),
-        horizon=draw(st.integers(2, 6)),
-        deps=draw(st.booleans()),
+    shape = dict(
+        n=draw(st.integers(1 + gaps, 8)),
+        horizon=draw(st.integers(2 + 2 * gaps, 6 + 2 * gaps)),
+        deps=gaps or draw(st.booleans()),
         uniform=True,
+        gaps=gaps,
     )
+    trace = random_trace(rng, **shape)
+    while gaps and not has_reference_gap(trace):
+        trace = random_trace(rng, **shape)
     channel = random_channel(rng, n_states=draw(st.integers(1, 3)))
     cost = CostModel(kind=draw(st.sampled_from(["linear", "convex"])),
                      slot_duration=float(rng.uniform(1.0, 3.0)))
@@ -53,9 +68,48 @@ def test_initial_values_match_the_exhaustive_reference(inst):
         assert rel_close(a, b), (got, want)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=160)
+@given(instances(gaps=True))
+def test_gap_plans_match_the_exhaustive_reference_at_every_state(inst):
+    pol, ref = solve_convex(*inst), solve_exhaustive(*inst)
+    for t, values in enumerate(pol.table.state_values):
+        for (pending, dmask, h), (value, _) in values.items():
+            assert rel_close(value, ref.values[t][(pending, dmask)][h]), (t, pending, dmask, h)
+
+
+def referenced_expired(trace, t):
+    """K_t: expired packets that a live or later-arriving packet references."""
+    return {
+        k.id for k in trace.packets
+        if k.deadline < t and any(k.id in j.parents and t <= j.deadline for j in trace.packets)
+    }
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(instances(), instances(gaps=True)))
+def test_records_hold_the_referenced_expired_packets(inst):
+    # A bit enters a record only when its packet expires, and stays until
+    # no packet that references it is left, through any gap.
+    trace = inst[0]
+    idx = _TraceIndex(trace)
+    for t in range(trace.horizon + 1):
+        assert idx.ids_of(idx.dep_mask[t]) == referenced_expired(trace, t)
+        assert not idx.dep_mask[t + 1] & ~(idx.dep_mask[t] | idx.expire_mask[t])
+
+
 @PROPERTY_SETTINGS
 @given(instances())
 def test_stored_values_satisfy_the_bellman_equation(inst):
+    check_bellman(inst)
+
+
+@PROPERTY_SETTINGS
+@given(instances(gaps=True))
+def test_stored_values_satisfy_the_bellman_equation_on_gap_traces(inst):
+    check_bellman(inst)
+
+
+def check_bellman(inst):
     # A state's value is its emission's distortion, minus the lambda-weighted
     # batch cost, plus the post-decision value the emission leads to; that
     # post-decision value is the discounted expected value of the next slot.
@@ -90,6 +144,16 @@ def test_stored_values_satisfy_the_bellman_equation(inst):
 @PROPERTY_SETTINGS
 @given(instances())
 def test_visited_states_follow_the_closed_form(inst):
+    check_closed_form(inst)
+
+
+@PROPERTY_SETTINGS
+@given(instances(gaps=True))
+def test_visited_states_follow_the_closed_form_on_gap_traces(inst):
+    check_closed_form(inst)
+
+
+def check_closed_form(inst):
     # With no three carried packets mutually unordered, a slot plans
     # |H| * 2^|K_t| * (N_t + phi_t) states: every record of the K_t
     # referenced expired packets, and the N_t + phi_t non-empty pending
@@ -99,12 +163,7 @@ def test_visited_states_follow_the_closed_form(inst):
     pol = solve_convex(*inst)
     for t in range(trace.horizon + 1):
         _, aux = reachable_states(trace, t)
-        k_t = sum(
-            1 for k in trace.packets
-            if k.deadline < t and any(
-                k.id in j.parents and j.arrival <= t <= j.deadline for j in trace.packets
-            )
-        )
+        k_t = len(referenced_expired(trace, t))
         expect = channel.n_states * 2**k_t * (len(aux.nodes) + disconnection_degree(aux))
         assert pol.table.visited[t] == expect, t
 
@@ -168,3 +227,18 @@ def test_delayed_feedback_does_not_beat_the_plan_on_random_dependent_traces(seed
     channel = random_channel(rng)
     inst = (trace, channel, CostModel(kind="convex", slot_duration=2.0), 0.9, 1.0)
     check_delayed_feedback_bound(inst, delay=1, episodes=300)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lossless_monte_carlo_matches_the_plan_on_gap_traces(seed):
+    # At loss 0 an episode scores decodability from the packets actually
+    # delivered, so a record that mislaid a carried bit would show as a gap
+    # between the plan's value and the simulated mean.
+    rng = np.random.default_rng(seed)
+    trace = random_trace(rng, deps=True, uniform=True, gaps=True)
+    while not has_reference_gap(trace):
+        trace = random_trace(rng, deps=True, uniform=True, gaps=True)
+    inst = (trace, random_channel(rng), CostModel(kind="convex", slot_duration=2.0), 0.9, 1.0)
+    pol = solve_convex(*inst)
+    rep = monte_carlo([pol], *inst, episodes=2000, seed=seed)[pol.name]
+    assert abs(rep.mean_utility - pol.expected_initial_value()) < 4 * rep.stderr_utility

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mediasched import (
+    SCENARIOS,
     ChannelModel,
     ChannelState,
     CostModel,
@@ -159,6 +160,24 @@ def test_episode_input_validation():
                         loss_rate=bad)
 
 
+def test_convex_episodes_and_greedy_refuse_mixed_packet_sizes():
+    # batch_cost prices a convex batch by its packet count, which would
+    # charge packet 2 alone as a 1-bit packet.
+    trace = MediaTrace(packets=(
+        Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=2),
+        Packet(id=2, size_bits=4.0, distortion=9.0, arrival=0, deadline=2),
+    ))
+    _, channel, cost, alpha, lam = standard_scenario()
+    with pytest.raises(ValueError, match="nonuniform packet sizes"):
+        baseline_distortion_greedy(trace, channel, cost, lam)
+    with pytest.raises(ValueError, match="nonuniform packet sizes"):
+        run_episode(Script({1: (2,)}), trace, channel, [1, 1, 1], cost, alpha, lam)
+    # a linear cost prices each packet by its own size
+    linear = CostModel(kind="linear")
+    res = run_episode(Script({1: (2,)}), trace, channel, [1, 1, 1], linear, 1.0, lam)
+    assert res.cost == linear.cost(4.0, channel.states[1])
+
+
 def test_monte_carlo_pairs_policies_on_identical_draws():
     # on a one-state channel the stationary average is the channel itself,
     # so the constant baseline must reproduce the planner episode for episode
@@ -272,9 +291,9 @@ def test_planned_decides_are_one_lookup(monkeypatch):
     state_masks = solver._TraceIndex.state_masks
     resolve = solver._resolve
 
-    def counting_state_masks(self, state):
+    def counting_state_masks(self, state, n_states):
         masks.append(state)
-        return state_masks(self, state)
+        return state_masks(self, state, n_states)
 
     def counting_resolve(p, t, pending, dmask, h, emissions=None):
         walks.append((t, (pending, dmask, h)))
@@ -310,6 +329,30 @@ def test_greedy_and_oracle_keep_their_trace_index():
         oracle.state_value(state)
     oracle.to_dump_dict()
     assert solver._index_for.cache_info() == before
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_policies_refuse_a_channel_state_outside_the_channel(name):
+    trace, channel, cost, alpha, lam = SCENARIOS[name]()
+    pols = [
+        solve(trace, channel, cost, alpha, lam),
+        baseline_myopic(trace, channel, cost, lam),
+        baseline_distortion_greedy(trace, channel, cost, lam),
+        solve_exhaustive(trace, channel, cost, alpha, lam),
+    ]
+    for h in (-1, channel.n_states):
+        state = JointState(0, trace.live(0), (), h)
+        for pol in pols:
+            with pytest.raises(ValueError, match="channel state"):
+                pol.decide(state)
+            if hasattr(pol, "state_value"):
+                with pytest.raises(ValueError, match="channel state"):
+                    pol.state_value(state)
+        # the constant baseline ignores the observed state
+        constant = baseline_constant_channel(trace, channel, cost, alpha, lam)
+        assert constant.decide(state) == constant.decide(JointState(0, trace.live(0), (), 0))
+    # nothing was evaluated into a memo on the way to the refusal
+    assert not any(map(any, pols[1]._state_memo + pols[1]._post_memo))
 
 
 def test_monte_carlo_looks_up_the_trace_index_once():

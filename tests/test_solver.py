@@ -12,7 +12,6 @@ from mediasched import (
     JointState,
     MediaTrace,
     Packet,
-    UnsupportedTraceError,
     advance_state,
     build_state_tree,
     complexity_report,
@@ -42,14 +41,13 @@ def flat_channel(n=2):
 
 
 def dep_members(trace, t):
-    """Expired packets whose delivery bit still matters at slot t."""
+    """Expired packets whose delivery bit still matters at slot t: those that
+    a live or later-arriving packet references."""
     return sorted(
         k.id
         for k in trace.packets
         if k.deadline < t
-        and any(
-            k.id in j.parents and j.arrival <= t <= j.deadline for j in trace.packets
-        )
+        and any(k.id in j.parents and t <= j.deadline for j in trace.packets)
     )
 
 
@@ -157,7 +155,7 @@ def test_records_match_the_definition():
                 assert deps == tuple(
                     (pid, bool(dmask >> idx.pos[pid] & 1)) for pid in members
                 )
-                assert idx.state_masks(JointState(t, live, deps, 0)) == (
+                assert idx.state_masks(JointState(t, live, deps, 0), 1) == (
                     idx.live_mask[t], dmask
                 )
     assert nonempty > 100
@@ -287,7 +285,9 @@ def test_label_lists_pending_ids_in_id_order():
     assert idx.label(0, 0, 0, 0) == "B=|D=|h=0"
 
 
-def test_gapped_reference_window_is_refused():
+def test_gapped_reference_window_is_carried():
+    # Packet 1 expires at slot 1 and is referenced by packet 2 in slots 2-3
+    # and by packet 3 in slots 5-6; its bit rides through slot 4.
     trace = MediaTrace(
         packets=(
             Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=1),
@@ -297,8 +297,16 @@ def test_gapped_reference_window_is_refused():
                    parents=frozenset({1})),
         )
     )
-    with pytest.raises(UnsupportedTraceError, match="slot gap"):
-        solve_convex(trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0)
+    inst = (trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0)
+    pol, ref = solve_convex(*inst), solve_exhaustive(*inst)
+    assert pol.idx.dep_ids == [(), ()] + [(1,)] * 5 + [()]
+    for t, values in enumerate(pol.table.state_values):
+        for (pending, dmask, h), (value, _) in values.items():
+            assert rel_close(value, ref.values[t][(pending, dmask)][h])
+    # The carried bit alone decides whether packet 3 can be sent.
+    for delivered, sent in ((False, []), (True, [3])):
+        state = JointState(5, frozenset({3}), ((1, delivered),), 1)
+        assert pol.decide(state) == ref.decide(state) == sent
 
 
 # -- engine selection and input checks -------------------------------------------

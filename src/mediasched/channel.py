@@ -211,8 +211,8 @@ class CostModel:
     def __post_init__(self):
         if self.kind not in ("linear", "convex"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
+        if not (math.isfinite(self.slot_duration) and self.slot_duration > 0):
+            raise ValueError("slot_duration must be positive and finite")
 
     def cost(self, bits: float, state: ChannelState) -> float:
         if self.kind == "linear":

@@ -39,7 +39,7 @@ from .sim import (
     baseline_myopic,
     monte_carlo,
 )
-from .solver import SolvedPolicy, complexity_report, solve
+from .solver import complexity_report, solve
 
 
 def _add_io_args(p: argparse.ArgumentParser):
@@ -97,13 +97,6 @@ def _cmd_solve(args) -> int:
     print(f"expected initial value: {policy.expected_initial_value():.6f}")
     print(f"policy written to {out}")
     if args.complexity:
-        if not isinstance(policy, SolvedPolicy):
-            print(
-                "complexity accounting needs the table engine; rerun with "
-                "dependencies or a convex cost",
-                file=sys.stderr,
-            )
-            return 1
         rows = complexity_report(policy)
         with open(args.complexity, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

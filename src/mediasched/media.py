@@ -119,12 +119,8 @@ class MediaTrace:
         return frozenset(p.id for p in self.packets if p.arrival == t)
 
 
-def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> list[str]:
-    """Return a list of invariant violations, empty when the trace is sound.
-
-    Set require_uniform_size when the trace is destined for a solver that
-    prices transmissions by packet count rather than by individual size.
-    """
+def validate_trace(trace: MediaTrace) -> list[str]:
+    """Return a list of invariant violations, empty when the trace is sound."""
     out: list[str] = []
     seen: set[int] = set()
     for p in trace.packets:
@@ -165,10 +161,6 @@ def validate_trace(trace: MediaTrace, require_uniform_size: bool = False) -> lis
     looped = sorted(p.id for i, p in enumerate(trace.packets) if anc[i] >> i & 1)
     if looped:
         out.append("dependency cycle through packets " + ", ".join(map(str, looped)))
-    if require_uniform_size and trace.packets:
-        sizes = {p.size_bits for p in trace.packets}
-        if len(sizes) > 1:
-            out.append(f"nonuniform packet sizes {sorted(sizes)} not supported here")
     return out
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .channel import ChannelModel, CostModel
 from .media import MediaTrace, Packet
-from .solver import JointState, _Policy, _TraceIndex, _check_common, _index_for
+from .single_packet import _check_alpha_lam
+from .solver import JointState, _Policy, _TraceIndex, _index_for
 
 # Each extra packet roughly triples the exhaustive run time.
 MAX_EXHAUSTIVE_PACKETS = 14
@@ -94,13 +95,13 @@ def solve_exhaustive(
     lam: float,
 ) -> ExhaustiveSolution:
     """Optimal values over the full state space, no reachability pruning."""
-    _check_common(trace, alpha, lam, require_uniform_size=cost.kind == "convex")
-    if len(trace.packets) > MAX_EXHAUSTIVE_PACKETS:
-        raise ValueError(
-            f"{len(trace.packets)} packets exceed the exhaustive limit {MAX_EXHAUSTIVE_PACKETS}"
-        )
-
+    _check_alpha_lam(alpha, lam)
     idx = _index_for(trace)
+    if cost.kind == "convex":
+        idx.require_uniform()
+    if idx.n > MAX_EXHAUSTIVE_PACKETS:
+        raise ValueError(f"{idx.n} packets exceed the exhaustive limit {MAX_EXHAUSTIVE_PACKETS}")
+
     hz = idx.horizon
     n_h = channel.n_states
     transition = channel.transition
@@ -170,6 +171,7 @@ def enumerate_single_schedules(
     is scored by policy evaluation alone. The elementwise maximum over all
     rules is what any state-feedback scheduler can reach.
     """
+    _check_alpha_lam(alpha, lam)
     window = packet.deadline - packet.arrival + 1
     n_h = channel.n_states
     cells = window * n_h

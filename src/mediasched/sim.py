@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, CostModel, averaged_channel, path_sampler
-from .media import MediaTrace, TraceValidationError, validate_trace
+from .media import MediaTrace
+from .single_packet import _check_alpha_lam
 from .solver import DecomposedPolicy, JointState, SolvedPolicy, _index_for, solve, solve_convex
 
 
@@ -56,7 +57,10 @@ def run_episode(
     loss_rate: float = 0.0,
     seed: int | None = None,
 ) -> EpisodeResult:
-    return _episode(policy, _index_for(trace), trace, channel, channel_path, cost,
+    idx = _index_for(trace)
+    if not all(0 <= h < channel.n_states for h in channel_path[:idx.horizon + 1]):
+        raise ValueError(f"channel path leaves the channel's states 0..{channel.n_states - 1}")
+    return _episode(policy, idx, trace, channel, channel_path, cost,
                     alpha, lam, loss_rate, seed)
 
 
@@ -67,8 +71,9 @@ def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_r
         raise ValueError("channel path shorter than the trace horizon")
     if not 0.0 <= loss_rate < 1.0:
         raise ValueError("loss_rate must lie in [0, 1)")
-    if cost.kind == "convex" and not idx.uniform:
-        raise TraceValidationError(validate_trace(trace, require_uniform_size=True))
+    _check_alpha_lam(alpha, lam)
+    if cost.kind == "convex":
+        idx.require_uniform()
     rng = np.random.default_rng(seed) if loss_rate > 0.0 else None
 
     # The loop carries masks; a JointState is built only for policy.decide.
@@ -96,14 +101,9 @@ def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_r
         if t < hz:
             pending, dmask = idx.step(t, pending, dmask, idx.mask_of(got))
 
-    # In topological order a packet decodes once it and its parents decoded,
-    # which is the same as it and all its ancestors delivered.
-    delivered = idx.mask_of(delivered_slot)
-    decoded = 0
-    for i in idx.topo:
-        if delivered >> i & 1 and not idx.parent_mask[i] & ~decoded:
-            decoded |= 1 << i
-    decodable = {pid for pid in delivered_slot if decoded >> idx.pos[pid] & 1}
+    # A packet decodes once it and all its ancestors were delivered.
+    delivered, anc = idx.mask_of(delivered_slot), trace.ancestor_masks
+    decodable = {pid for pid in delivered_slot if not anc[idx.pos[pid]] & ~delivered}
     gain = sum(alpha ** delivered_slot[pid] * trace.by_id[pid].distortion for pid in decodable)
     return EpisodeResult(
         utility=gain - lam * total_cost,
@@ -151,6 +151,8 @@ def monte_carlo(
     if episodes < 2:
         raise ValueError("episodes must be at least 2 for a sample std")
     acc = {p.name: ([], [], [], []) for p in policies}
+    if len(acc) < len(policies):
+        raise ValueError("policy names must be distinct, as the reports are keyed by name")
     idx = _index_for(trace)
     hz = idx.horizon
     sample = path_sampler(channel)
@@ -207,9 +209,10 @@ class DistortionGreedyPolicy:
     name: str = "greedy"
 
     def __post_init__(self):
+        _check_alpha_lam(0.0, self.lam)  # greedy has no discount
         self.idx = _index_for(self.trace)
-        if self.cost.kind == "convex" and not self.idx.uniform:
-            raise TraceValidationError(validate_trace(self.trace, require_uniform_size=True))
+        if self.cost.kind == "convex":
+            self.idx.require_uniform()
 
     def decide(self, state: JointState) -> list[int]:
         idx = self.idx

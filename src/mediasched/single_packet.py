@@ -37,6 +37,14 @@ class ThresholdPolicy:
         return t - self.packet.arrival
 
 
+def _check_alpha_lam(alpha: float, lam: float) -> None:
+    """Refuse a discount outside [0, 1] or a price that is not positive and finite."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be positive and finite")
+
+
 def solve_single(
     packet: Packet,
     channel: ChannelModel,
@@ -48,10 +56,7 @@ def solve_single(
 
     Runs in O(window * |H|^2): one transition-matrix product per slot.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
+    _check_alpha_lam(alpha, lam)
     window = packet.deadline - packet.arrival + 1
     n = channel.n_states
     net = np.array(

@@ -52,7 +52,7 @@ import numpy as np
 from .channel import ChannelModel, CostModel, marginal_cost
 from .media import MediaTrace, TraceValidationError, _bits, validate_trace
 from .priority import arrival_ordered, outranked_by, peel
-from .single_packet import ThresholdPolicy, act_single, solve_single
+from .single_packet import ThresholdPolicy, _check_alpha_lam, act_single, solve_single
 
 
 class SolverError(RuntimeError):
@@ -93,6 +93,10 @@ class _TraceIndex:
     """Bitmask view of a trace: windows, dependencies, priorities, slots."""
 
     def __init__(self, trace: MediaTrace):
+        # Every engine, the simulator and the baselines index their trace here.
+        bad = validate_trace(trace)
+        if bad:
+            raise TraceValidationError(bad)
         self.ids = tuple(p.id for p in trace.packets)
         self.pos = {pid: i for i, pid in enumerate(self.ids)}
         n = len(self.ids)
@@ -103,7 +107,6 @@ class _TraceIndex:
         self.deadline = tuple(p.deadline for p in trace.packets)
         self.horizon = trace.horizon
         self.unit = self.size[0] if self.size else 1.0
-        self.uniform = len(set(self.size)) <= 1  # else batch_cost misprices convex batches
 
         self.parent_mask = [0] * n
         self.children: list[list[int]] = [[] for _ in range(n)]
@@ -142,8 +145,6 @@ class _TraceIndex:
                 indeg[kid] -= 1
                 if indeg[kid] == 0:
                     order.append(kid)
-        if len(order) != self.n:
-            raise TraceValidationError(["dependency cycle"])
         return order
 
     def _build_dep_masks(self):
@@ -160,6 +161,12 @@ class _TraceIndex:
         # JointState.deps; dep_ids[t]: the ids alone.
         self.dep_record = [tuple(sorted((self.ids[i], i) for i in m)) for m in members]
         self.dep_ids = [tuple(pid for pid, _ in rec) for rec in self.dep_record]
+
+    def require_uniform(self):
+        """Refuse mixed sizes: batch_cost and solve_convex price packets as one size."""
+        sizes = sorted(set(self.size))
+        if len(sizes) > 1:
+            raise TraceValidationError([f"nonuniform packet sizes {sizes} not supported here"])
 
     # -- state helpers ------------------------------------------------------
 
@@ -565,7 +572,8 @@ def solve_linear(
     lam: float,
 ) -> DecomposedPolicy:
     """Per-packet decomposition; valid only for additive costs, no dependencies."""
-    _check_common(trace, alpha, lam)
+    _check_alpha_lam(alpha, lam)
+    idx = _index_for(trace)
     if cost.kind != "linear":
         raise ValueError("solve_linear requires the linear cost kind")
     if trace.has_dependencies:
@@ -587,7 +595,7 @@ def solve_linear(
         lam=lam,
         per_packet=per_packet,
         powers=powers,
-        idx=_index_for(trace),
+        idx=idx,
     )
 
 
@@ -604,8 +612,9 @@ def solve_convex(
     optimality argument prices packets interchangeably within a slot.
     Heterogeneous sizes belong to the decomposed linear path.
     """
-    _check_common(trace, alpha, lam, require_uniform_size=True)
+    _check_alpha_lam(alpha, lam)
     idx = _index_for(trace)
+    idx.require_uniform()
     hz = idx.horizon
     n_h = channel.n_states
     table = ValueTable(
@@ -679,18 +688,6 @@ def solve(
     return solve_convex(trace, channel, cost, alpha, lam)
 
 
-def _check_common(
-    trace: MediaTrace, alpha: float, lam: float, require_uniform_size: bool = False
-):
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
-    bad = validate_trace(trace, require_uniform_size=require_uniform_size)
-    if bad:
-        raise TraceValidationError(bad)
-
-
 # ---------------------------------------------------------------------------
 # complexity accounting
 # ---------------------------------------------------------------------------
@@ -710,7 +707,8 @@ def _slot_counts(table: ValueTable, t: int) -> dict:
 def complexity_report(policy: SolvedPolicy) -> list[dict]:
     """Per-slot state and work counts next to the flat-enumeration reference."""
     if not isinstance(policy, SolvedPolicy):
-        raise ValueError("complexity accounting needs a table-based policy")
+        raise ValueError("complexity accounting needs the table engine; "
+                         "plan with dependencies or a convex cost")
     std = standard_dp_counts(policy.trace, policy.channel)
     return [
         {

@@ -209,6 +209,17 @@ def test_malformed_trace_fails_cleanly(tmp_path, volatile_dir, capsys):
             ])
             assert rc == 1
             assert capsys.readouterr().err.startswith("error:")
+    # Parameters that used to give a NaN utility, or a plan that never sends.
+    io_args = ["--trace", str(volatile_dir / "trace.json"),
+               "--channel", str(volatile_dir / "channel.json")]
+    for argv in (
+        ["simulate", *io_args, "--policy", "greedy", "--alpha", "nan", "--episodes", "4"],
+        ["solve", *io_args, "--cost", "convex", "--slot-duration", "nan",
+         "--out", str(tmp_path / "p.json")],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 DOCS = dict(zip(("trace", "channel"), (dump(x) for dump, x in

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mediasched import (
+    SCENARIOS,
     MediaTrace,
     Packet,
     TraceFormatError,
@@ -16,6 +17,7 @@ from mediasched import (
     descendants,
     dump_trace,
     load_trace,
+    solve_convex,
     synth_trace,
     validate_trace,
 )
@@ -97,6 +99,8 @@ def test_validate_detects_cycles():
 
 
 def test_validate_uniform_size_switch():
+    # Mixed sizes are a valid trace; only the engines that price packets as
+    # one size refuse them, through the trace index.
     trace = MediaTrace(
         packets=(
             Packet(id=0, size_bits=1.0, distortion=1.0, arrival=0, deadline=2),
@@ -104,7 +108,9 @@ def test_validate_uniform_size_switch():
         )
     )
     assert validate_trace(trace) == []
-    assert any("nonuniform" in v for v in validate_trace(trace, require_uniform_size=True))
+    _, channel, cost, alpha, lam = SCENARIOS["standard"]()
+    with pytest.raises(TraceValidationError, match="nonuniform packet sizes"):
+        solve_convex(trace, channel, cost, alpha, lam)
 
 
 def test_round_trip():

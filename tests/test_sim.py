@@ -1,6 +1,8 @@
 """Episode mechanics, pairing, and the baseline policies."""
 
 import json
+from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -14,12 +16,14 @@ from mediasched import (
     JointState,
     MediaTrace,
     Packet,
+    TraceValidationError,
     advance_state,
     ancestors,
     baseline_constant_channel,
     baseline_distortion_greedy,
     baseline_myopic,
     complexity_report,
+    enumerate_single_schedules,
     monte_carlo,
     run_episode,
     sample_path,
@@ -381,6 +385,72 @@ def test_monte_carlo_rejects_fewer_than_two_episodes(episodes):
     pol = solve(trace, channel, cost, 0.9, 1.0)
     with pytest.raises(ValueError, match="at least 2"):
         monte_carlo([pol], trace, channel, cost, 0.9, 1.0, episodes=episodes)
+
+
+def _refusals():
+    """(call, error, match) per entry point and bad input, on the standard scenario."""
+    trace, channel, cost, alpha, lam = standard_scenario()
+    path, nan = [0] * (trace.horizon + 1), float("nan")
+    last = trace.packets[-1]  # packet 5, which no packet depends on
+    bad_traces = {
+        "unknown-parent": replace(last, parents=frozenset({9})),
+        "duplicate-id": replace(last, id=0),
+        "negative-distortion": replace(last, distortion=-1.0),
+        "deadline-2**17": replace(last, deadline=2**17),
+    }
+    by_trace = {
+        "run_episode": lambda tr: run_episode(
+            Script({}), tr, channel, [0] * (tr.horizon + 1), cost, alpha, lam),
+        "monte_carlo": lambda tr: monte_carlo([Script({})], tr, channel, cost, alpha, lam, 2),
+        "advance_state": lambda tr: advance_state(JointState(0, tr.live(0), (), 0), (), 0, tr),
+        "greedy": lambda tr: baseline_distortion_greedy(tr, channel, cost, lam),
+    }
+    for (entry, call), (bad, packet) in product(by_trace.items(), bad_traces.items()):
+        tr = MediaTrace(trace.packets[:-1] + (packet,))
+        yield pytest.param(partial(call, tr), TraceValidationError, "invalid trace",
+                           id=f"{entry}-{bad}")
+
+    def episode(a, lm, p=path):
+        return run_episode(Script({}), trace, channel, p, cost, a, lm)
+
+    def mc(a, lm, pols=None):
+        pols = pols or [baseline_distortion_greedy(trace, channel, cost, lam)]
+        return monte_carlo(pols, trace, channel, cost, a, lm, 10)
+
+    one = Packet(id=0, size_bits=1.0, distortion=5.0, arrival=0, deadline=1)
+    cases = {
+        "run_episode-alpha-nan": (partial(episode, nan, lam), "alpha must lie"),
+        "run_episode-lam-nan": (partial(episode, alpha, nan), "lam must be"),
+        "monte_carlo-alpha-nan": (partial(mc, nan, lam), "alpha must lie"),
+        "monte_carlo-lam-nan": (partial(mc, alpha, nan), "lam must be"),
+        "monte_carlo-alpha-5": (
+            partial(mc, 5.0, lam, [solve(trace, channel, cost, alpha, lam)]), "alpha must lie"),
+        "greedy-lam-nan": (
+            partial(baseline_distortion_greedy, trace, channel, cost, nan), "lam must be"),
+        "enumerate-alpha-nan": (
+            partial(enumerate_single_schedules, one, channel, cost, nan, lam), "alpha must lie"),
+        "enumerate-lam-nan": (
+            partial(enumerate_single_schedules, one, channel, cost, alpha, nan), "lam must be"),
+        "cost-slot-duration-nan": (partial(CostModel, "convex", nan), "slot_duration"),
+        "cost-slot-duration-inf": (partial(CostModel, "convex", float("inf")), "slot_duration"),
+        "monte_carlo-duplicate-names": (
+            partial(mc, alpha, lam, [solve(trace, channel, cost, alpha, lam),
+                                     solve(trace, channel, cost, alpha, 5.0)]), "distinct"),
+        "run_episode-path-state-minus-1": (
+            partial(episode, alpha, lam, [-1] * len(path)), "channel path"),
+        "run_episode-path-state-2": (
+            partial(episode, alpha, lam, [2] * len(path)), "channel path"),
+    }
+    for name, (call, match) in cases.items():
+        yield pytest.param(call, ValueError, match, id=name)
+
+
+@pytest.mark.parametrize("call, error, match", _refusals())
+def test_entry_points_refuse_bad_inputs(call, error, match):
+    # Each used to run on (or crash with a KeyError or IndexError), giving
+    # NaN utilities, a plan that never sends, or reports of mixed policies.
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_myopic_sends_where_the_planner_waits():

@@ -48,6 +48,16 @@ class ChannelModel:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property  # every engine and episode asks, so each model is validated once
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(validate_channel(self))
+
+
+def _check_channel(model: ChannelModel) -> None:
+    """Raise ChannelValidationError when the model breaks an invariant."""
+    if model._violations:
+        raise ChannelValidationError(model._violations)
+
 
 def validate_channel(model: ChannelModel) -> list[str]:
     """Return a list of invariant violations, empty when the model is sound."""
@@ -122,9 +132,7 @@ def load_channel(source) -> ChannelModel:
         raise ChannelFormatError(f"bad transition/initial matrix: {exc}") from exc
 
     model = ChannelModel(states=tuple(states), transition=transition, initial=initial)
-    violations = validate_channel(model)
-    if violations:
-        raise ChannelValidationError(violations)
+    _check_channel(model)
     return model
 
 
@@ -147,8 +155,6 @@ def _cdf(p) -> list[float]:
     (within its tolerances) always samples instead of being refused.
     """
     c = np.cumsum(np.maximum(np.asarray(p, dtype=float), 0.0))
-    if not c[-1] > 0.0:
-        raise ValueError("probability row has no positive mass")
     return (c / c[-1]).tolist()
 
 
@@ -159,6 +165,7 @@ def path_sampler(model: ChannelModel):
     own default_rng(seed): one uniform per slot, inverted through the row of
     the previous state, which is exactly the draw rng.choice(n, p=row) makes.
     """
+    _check_channel(model)
     first = _cdf(model.initial)
     rows = [_cdf(row) for row in model.transition]
 
@@ -233,6 +240,7 @@ def averaged_channel(model: ChannelModel) -> ChannelModel:
     The chain must be irreducible and aperiodic so the long-run weights are
     unambiguous; anything else raises ChannelValidationError.
     """
+    _check_channel(model)
     n = model.n_states
     # Boolean matrix powers of the support. Irreducible: every state reaches
     # every other within n - 1 steps. Aperiodic, given irreducible: the

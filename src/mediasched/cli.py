@@ -214,46 +214,22 @@ def _write_episodes_csv(path, reports):
         )
         for name, rep in reports.items():
             for i in range(len(rep.utilities)):
-                writer.writerow(
-                    [
-                        i,
-                        name,
-                        f"{rep.utilities[i]:.10g}",
-                        f"{rep.costs[i]:.10g}",
-                        f"{rep.gains[i]:.10g}",
-                        int(rep.delivered_counts[i]),
-                    ]
-                )
+                writer.writerow([i, name, f"{rep.utilities[i]:.10g}", f"{rep.costs[i]:.10g}",
+                                 f"{rep.gains[i]:.10g}", int(rep.delivered_counts[i])])
 
 
 def _write_summary_csv(path, reports):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "policy",
-                "episodes",
-                "mean_utility",
-                "std_utility",
-                "stderr_utility",
-                "mean_cost",
-                "mean_distortion_gain",
-                "mean_delivered",
-            ]
-        )
+        writer.writerow(["policy", "episodes", "mean_utility", "std_utility", "stderr_utility",
+                         "mean_cost", "mean_distortion_gain", "mean_delivered"])
         for name, rep in reports.items():
-            writer.writerow(
-                [
-                    name,
-                    len(rep.utilities),
-                    f"{rep.mean_utility:.10g}",
-                    f"{rep.std_utility:.10g}",
-                    f"{rep.stderr_utility:.10g}",
-                    f"{rep.costs.mean():.10g}",
-                    f"{rep.gains.mean():.10g}",
-                    f"{rep.delivered_counts.mean():.10g}",
-                ]
-            )
+            writer.writerow([
+                name, len(rep.utilities),
+                *(f"{x:.10g}" for x in (rep.mean_utility, rep.std_utility, rep.stderr_utility,
+                                        rep.costs.mean(), rep.gains.mean(),
+                                        rep.delivered_counts.mean())),
+            ])
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ChannelModel, CostModel
 from .media import MediaTrace, Packet
-from .single_packet import _check_alpha_lam
+from .single_packet import _check_inputs
 from .solver import JointState, _Policy, _TraceIndex, _index_for
 
 # Each extra packet roughly triples the exhaustive run time.
@@ -95,7 +95,7 @@ def solve_exhaustive(
     lam: float,
 ) -> ExhaustiveSolution:
     """Optimal values over the full state space, no reachability pruning."""
-    _check_alpha_lam(alpha, lam)
+    _check_inputs(channel, alpha, lam)
     idx = _index_for(trace)
     if cost.kind == "convex":
         idx.require_uniform()
@@ -171,7 +171,7 @@ def enumerate_single_schedules(
     is scored by policy evaluation alone. The elementwise maximum over all
     rules is what any state-feedback scheduler can reach.
     """
-    _check_alpha_lam(alpha, lam)
+    _check_inputs(channel, alpha, lam)
     window = packet.deadline - packet.arrival + 1
     n_h = channel.n_states
     cells = window * n_h

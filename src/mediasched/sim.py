@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelModel, CostModel, averaged_channel, path_sampler
 from .media import MediaTrace
-from .single_packet import _check_alpha_lam
+from .single_packet import _check_inputs
 from .solver import DecomposedPolicy, JointState, SolvedPolicy, _index_for, solve, solve_convex
 
 
@@ -60,26 +60,53 @@ def run_episode(
     idx = _index_for(trace)
     if not all(0 <= h < channel.n_states for h in channel_path[:idx.horizon + 1]):
         raise ValueError(f"channel path leaves the channel's states 0..{channel.n_states - 1}")
-    return _episode(policy, idx, trace, channel, channel_path, cost,
-                    alpha, lam, loss_rate, seed)
-
-
-def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_rate, seed):
-    """run_episode on the trace's index, which monte_carlo looks up once."""
-    hz = idx.horizon
-    if len(channel_path) < hz + 1:
+    if len(channel_path) < idx.horizon + 1:
         raise ValueError("channel path shorter than the trace horizon")
+    _check_episode_args(idx, channel, cost, alpha, lam, loss_rate)
+    log: list[SlotLog] = []
+    gain, total_cost, delivered, decodable = _episode(
+        policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, seed, log)
+    return EpisodeResult(
+        utility=gain - lam * total_cost,
+        distortion_gain=gain,
+        cost=total_cost,
+        delivered=frozenset(delivered),
+        decodable=frozenset(decodable),
+        log=tuple(log),
+    )
+
+
+def _check_episode_args(idx, channel, cost, alpha, lam, loss_rate):
+    """The rules every episode of a run_episode or monte_carlo call shares."""
     if not 0.0 <= loss_rate < 1.0:
         raise ValueError("loss_rate must lie in [0, 1)")
-    _check_alpha_lam(alpha, lam)
+    _check_inputs(channel, alpha, lam)
     if cost.kind == "convex":
         idx.require_uniform()
-    rng = np.random.default_rng(seed) if loss_rate > 0.0 else None
 
-    # The loop carries masks; a JointState is built only for policy.decide.
+
+# Loss uniforms are drawn this many at a time. Generator.random takes one
+# 64-bit output per double, so blocks hand out the stream per-slot draws give.
+_LOSS_BLOCK = 64
+
+
+def _loss_draws(seed):
+    """The uniforms of default_rng(seed), one at a time."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield from rng.random(_LOSS_BLOCK).tolist()
+
+
+def _episode(policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, seed, log=None):
+    """One checked episode: its gain, discounted cost, delivery slot per
+    delivered id and decodable ids. A SlotLog per slot goes to log when one
+    is given; monte_carlo, which reads none, gives none."""
+    hz = idx.horizon
+    draws = _loss_draws(seed) if loss_rate > 0.0 else None
+
+    # The loop carries masks; policy.decide gets the index's interned JointState.
     pending, dmask = idx.live_mask[0], 0
     delivered_slot: dict[int, int] = {}
-    log = []
     total_cost = 0.0
     for t in range(hz + 1):
         h = channel_path[t]
@@ -89,15 +116,14 @@ def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_r
             raise ValueError(f"{policy.name} attempted packets outside pending")
         slot_cost = idx.batch_cost(attempt_mask, channel.states[h], cost)
         total_cost += alpha**t * slot_cost
-        if rng is None:
-            got = attempted
-        else:
+        got = attempted
+        if draws is not None and attempted:
             # One uniform per attempted packet, in emission order.
-            draws = rng.random(len(attempted)).tolist()
             got = tuple(pid for pid, u in zip(attempted, draws) if u >= loss_rate)
         for pid in got:
             delivered_slot[pid] = t
-        log.append(SlotLog(t, h, attempted, got, slot_cost))
+        if log is not None:
+            log.append(SlotLog(t, h, attempted, got, slot_cost))
         if t < hz:
             pending, dmask = idx.step(t, pending, dmask, idx.mask_of(got))
 
@@ -105,14 +131,7 @@ def _episode(policy, idx, trace, channel, channel_path, cost, alpha, lam, loss_r
     delivered, anc = idx.mask_of(delivered_slot), trace.ancestor_masks
     decodable = {pid for pid in delivered_slot if not anc[idx.pos[pid]] & ~delivered}
     gain = sum(alpha ** delivered_slot[pid] * trace.by_id[pid].distortion for pid in decodable)
-    return EpisodeResult(
-        utility=gain - lam * total_cost,
-        distortion_gain=gain,
-        cost=total_cost,
-        delivered=frozenset(delivered_slot),
-        decodable=frozenset(decodable),
-        log=tuple(log),
-    )
+    return gain, total_cost, delivered_slot, decodable
 
 
 @dataclass(eq=False)
@@ -154,6 +173,7 @@ def monte_carlo(
     if len(acc) < len(policies):
         raise ValueError("policy names must be distinct, as the reports are keyed by name")
     idx = _index_for(trace)
+    _check_episode_args(idx, channel, cost, alpha, lam, loss_rate)
     hz = idx.horizon
     sample = path_sampler(channel)
     # One generator per episode, as sample_path seeds it, so a path depends
@@ -161,13 +181,13 @@ def monte_carlo(
     for i in range(episodes):
         path = sample(hz, seed + i)
         for pol in policies:
-            res = _episode(pol, idx, trace, channel, path, cost, alpha, lam,
-                           loss_rate, seed * 1_000_003 + i)
+            gain, total_cost, delivered, _ = _episode(
+                pol, idx, trace, channel, path, cost, alpha, loss_rate, seed * 1_000_003 + i)
             u, g, c, d = acc[pol.name]
-            u.append(res.utility)
-            g.append(res.distortion_gain)
-            c.append(res.cost)
-            d.append(res.delivered_count)
+            u.append(gain - lam * total_cost)
+            g.append(gain)
+            c.append(total_cost)
+            d.append(len(delivered))
     return {
         name: SimReport(
             name=name,
@@ -209,7 +229,7 @@ class DistortionGreedyPolicy:
     name: str = "greedy"
 
     def __post_init__(self):
-        _check_alpha_lam(0.0, self.lam)  # greedy has no discount
+        _check_inputs(self.channel, 0.0, self.lam)  # greedy has no discount
         self.idx = _index_for(self.trace)
         if self.cost.kind == "convex":
             self.idx.require_uniform()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, CostModel
+from .channel import ChannelModel, CostModel, _check_channel
 from .media import Packet
 
 
@@ -37,12 +37,14 @@ class ThresholdPolicy:
         return t - self.packet.arrival
 
 
-def _check_alpha_lam(alpha: float, lam: float) -> None:
-    """Refuse a discount outside [0, 1] or a price that is not positive and finite."""
+def _check_inputs(channel: ChannelModel, alpha: float, lam: float) -> None:
+    """Refuse a discount outside [0, 1], a price that is not positive and
+    finite, or an unsound channel (each model instance is validated once)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
+    _check_channel(channel)
 
 
 def solve_single(
@@ -56,7 +58,7 @@ def solve_single(
 
     Runs in O(window * |H|^2): one transition-matrix product per slot.
     """
-    _check_alpha_lam(alpha, lam)
+    _check_inputs(channel, alpha, lam)
     window = packet.deadline - packet.arrival + 1
     n = channel.n_states
     net = np.array(

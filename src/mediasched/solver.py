@@ -28,7 +28,9 @@ delivery record is a bitmask in the same numbering: bit i is set when the
 expired packet at position i was delivered. Only the positions in
 _TraceIndex.dep_mask[t] (expired packets that a live or later-arriving packet
 references, even after a gap) appear in slot t's record, whose values are the
-submasks of that mask. _TraceIndex alone reads or writes this encoding.
+submasks of that mask. _TraceIndex alone reads or writes this encoding,
+and it interns the public JointState of each (t, pending, record, channel)
+it builds, so decoding an equal state again is one lookup.
 
 Post-decision values are keyed by the stripped pending set (expiring
 packets removed), the dependency record already advanced to the next slot,
@@ -52,7 +54,7 @@ import numpy as np
 from .channel import ChannelModel, CostModel, marginal_cost
 from .media import MediaTrace, TraceValidationError, _bits, validate_trace
 from .priority import arrival_ordered, outranked_by, peel
-from .single_packet import ThresholdPolicy, _check_alpha_lam, act_single, solve_single
+from .single_packet import ThresholdPolicy, _check_inputs, act_single, solve_single
 
 
 class SolverError(RuntimeError):
@@ -133,6 +135,10 @@ class _TraceIndex:
         self._build_dep_masks()
         self.cert_pred = outranked_by(trace, self.ids)
         self.aux_pred = arrival_ordered(trace, self.ids, self.cert_pred)
+        # Interned states: joint_state builds each once, and state_masks
+        # decodes a state equal to one built or checked before by lookup.
+        self._states: dict[tuple[int, int, int, int], JointState] = {}
+        self._masks: dict[JointState, tuple[int, int]] = {}
 
     def _topo_order(self) -> list[int]:
         indeg = [bin(m).count("1") for m in self.parent_mask]
@@ -255,15 +261,24 @@ class _TraceIndex:
         return mask
 
     def ids_of(self, mask: int) -> frozenset[int]:
-        out = set()
-        while mask:
-            low = mask & -mask
-            out.add(self.ids[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(self.ids[i] for i in _bits(mask))
 
     def state_masks(self, state: JointState, n_states: int) -> tuple[int, int]:
-        """Pending and record masks of state, on a channel of n_states states."""
+        """Pending and record masks of state, on a channel of n_states states.
+
+        The channel bound differs between callers, so it is checked on every
+        call; the rest is checked once per distinct state and remembered.
+        """
+        try:
+            hit = self._masks.get(state)
+        except TypeError:  # a set or a list inside: checked on every call
+            return self._decode(state, n_states)
+        if hit is not None and 0 <= state.channel < n_states:
+            return hit
+        self._masks[state] = masks = self._decode(state, n_states)
+        return masks
+
+    def _decode(self, state: JointState, n_states: int) -> tuple[int, int]:
         t = state.t
         if not 0 <= t <= self.horizon:
             raise ValueError(f"slot {t} outside horizon {self.horizon}")
@@ -298,7 +313,13 @@ class _TraceIndex:
         return f"B={ids}|D={deps}|h={h}"
 
     def joint_state(self, t: int, pending: int, dmask: int, h: int) -> JointState:
-        return JointState(t, self.ids_of(pending), self.deps_tuple(t, dmask), h)
+        key = (t, pending, dmask, h)
+        state = self._states.get(key)
+        if state is None:
+            state = JointState(t, self.ids_of(pending), self.deps_tuple(t, dmask), h)
+            self._states[key] = state
+            self._masks[state] = pending, dmask
+        return state
 
 
 @lru_cache(maxsize=32)
@@ -572,7 +593,7 @@ def solve_linear(
     lam: float,
 ) -> DecomposedPolicy:
     """Per-packet decomposition; valid only for additive costs, no dependencies."""
-    _check_alpha_lam(alpha, lam)
+    _check_inputs(channel, alpha, lam)
     idx = _index_for(trace)
     if cost.kind != "linear":
         raise ValueError("solve_linear requires the linear cost kind")
@@ -612,7 +633,7 @@ def solve_convex(
     optimality argument prices packets interchangeably within a slot.
     Heterogeneous sizes belong to the decomposed linear path.
     """
-    _check_alpha_lam(alpha, lam)
+    _check_inputs(channel, alpha, lam)
     idx = _index_for(trace)
     idx.require_uniform()
     hz = idx.horizon

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -19,14 +21,26 @@ from mediasched import (
     ChannelValidationError,
     CostModel,
     averaged_channel,
+    baseline_constant_channel,
+    baseline_distortion_greedy,
+    baseline_myopic,
     cost_convex,
     cost_linear,
     dump_channel,
+    enumerate_single_schedules,
     load_channel,
     marginal_cost,
+    monte_carlo,
+    run_episode,
     sample_path,
+    solve,
+    solve_convex,
+    solve_exhaustive,
+    solve_linear,
+    solve_single,
     standard_scenario,
     validate_channel,
+    volatile_scenario,
 )
 from conftest import random_channel
 
@@ -397,3 +411,59 @@ def test_import_does_not_load_networkx():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, mediasched; sys.exit('networkx' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class Idle:
+    name = "idle"
+
+    def decide(self, state):
+        return []
+
+
+def _channel_entry_points():
+    """Every engine, baseline and simulator entry point, on a given channel."""
+    trace, _, cost, alpha, lam = standard_scenario()
+    independent, *_ = volatile_scenario()
+    linear, packet = CostModel(kind="linear"), trace.packets[0]
+    return {
+        "solve": lambda ch: solve(trace, ch, cost, alpha, lam),
+        "solve_convex": lambda ch: solve_convex(trace, ch, cost, alpha, lam),
+        "solve_linear": lambda ch: solve_linear(independent, ch, linear, alpha, lam),
+        "solve_exhaustive": lambda ch: solve_exhaustive(trace, ch, cost, alpha, lam),
+        "solve_single": lambda ch: solve_single(packet, ch, cost, alpha, lam),
+        "enumerate_single_schedules": lambda ch: enumerate_single_schedules(
+            replace(packet, deadline=packet.arrival + 1), ch, cost, alpha, lam),
+        "sample_path": lambda ch: sample_path(ch, trace.horizon, 3),
+        "monte_carlo": lambda ch: monte_carlo([Idle()], trace, ch, cost, alpha, lam, 2),
+        "run_episode": lambda ch: run_episode(
+            Idle(), trace, ch, [0] * (trace.horizon + 1), cost, alpha, lam),
+        "myopic": lambda ch: baseline_myopic(trace, ch, cost, lam),
+        "greedy": lambda ch: baseline_distortion_greedy(trace, ch, cost, lam),
+        "constant": lambda ch: baseline_constant_channel(trace, ch, cost, alpha, lam),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_channel_entry_points()))
+def test_every_entry_point_checks_a_hand_built_channel(entry):
+    # A NaN transition row used to plan initial values of -inf with no error.
+    _, channel, *_ = standard_scenario()
+    tr = channel.transition.copy()
+    tr[0] = [float("nan"), 1.0]
+    bad = ChannelModel(states=channel.states, transition=tr, initial=channel.initial)
+    call = _channel_entry_points()[entry]
+    for _ in range(2):  # a refusal is not remembered as a pass
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            call(bad)
+    call(channel)
+
+
+def test_each_channel_instance_is_validated_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(mediasched.channel, "validate_channel",
+                        partial(lambda real, model: calls.append(model) or real(model),
+                                validate_channel))
+    _, channel, *_ = standard_scenario()
+    for call in _channel_entry_points().values():
+        call(channel)
+    # the constant baseline plans on a second, averaged model
+    assert sum(model is channel for model in calls) == 1

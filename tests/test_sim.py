@@ -1,9 +1,10 @@
 """Episode mechanics, pairing, and the baseline policies."""
 
 import json
+import math
 from dataclasses import replace
 from functools import partial
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from mediasched import (
     solve_exhaustive,
     solve_single,
     standard_scenario,
+    synth_trace,
 )
-from mediasched import solver
+from mediasched import sim, solver
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -314,6 +316,122 @@ def test_planned_decides_are_one_lookup(monkeypatch):
     assert walks
     assert all(key not in pol.table.state_values[t] for t, key in walks)
     assert len(set(walks)) == len(walks) == sum(map(len, pol._state_memo))
+
+
+def _roster(trace, channel, cost, alpha, lam):
+    return [
+        solve(trace, channel, cost, alpha, lam),
+        baseline_myopic(trace, channel, cost, lam),
+        baseline_distortion_greedy(trace, channel, cost, lam),
+        baseline_constant_channel(trace, channel, cost, alpha, lam),
+    ]
+
+
+def test_loss_draws_come_in_blocks_from_the_per_slot_stream():
+    # Generator.random takes one 64-bit output per double, so one stream cut
+    # into blocks equals the same stream cut into per-slot batches.
+    rng = np.random.default_rng(17)
+    for seed in range(20):
+        per_slot = np.random.default_rng(seed)
+        want = [u for k in rng.integers(0, 9, size=40)
+                for u in per_slot.random(int(k)).tolist()]
+        assert len(want) > sim._LOSS_BLOCK
+        assert list(islice(sim._loss_draws(seed), len(want))) == want
+
+
+def test_monte_carlo_episodes_match_logged_episodes():
+    # monte_carlo keeps no slot log; each of its episodes must still be
+    # run_episode on the same path and loss seed, number for number.
+    scenario = standard_scenario()
+    gop = (synth_trace(24, 4, 2, (9.0, 6.0, 4.0, 3.0), seed=41),) + scenario[1:]
+    crossed = 0
+    for (trace, channel, cost, alpha, lam), oracle in ((scenario, True), (gop, False)):
+        pols = _roster(trace, channel, cost, alpha, lam)
+        if oracle:
+            pols.append(solve_exhaustive(trace, channel, cost, alpha, lam))
+        episodes, s = (12, 5) if oracle else (3, 8)
+        for loss in (0.0, 0.1, 0.3):
+            out = monte_carlo(pols, trace, channel, cost, alpha, lam, episodes,
+                              loss_rate=loss, seed=s)
+            for pol, i in product(pols, range(episodes)):
+                path = sample_path(channel, trace.horizon, s + i)
+                res = run_episode(pol, trace, channel, path, cost, alpha, lam,
+                                  loss_rate=loss, seed=s * 1_000_003 + i)
+                rep = out[pol.name]
+                assert rep.utilities[i] == res.utility
+                assert rep.gains[i] == res.distortion_gain
+                assert rep.costs[i] == res.cost
+                assert rep.delivered_counts[i] == res.delivered_count
+                attempts = sum(len(slot.attempted) for slot in res.log)
+                crossed += loss > 0 and attempts > sim._LOSS_BLOCK
+    assert crossed  # some episode drew a second block of loss uniforms
+
+
+def test_interned_states_keep_every_refusal_and_decision(monkeypatch):
+    rng = np.random.default_rng(12)
+    trace = random_trace(rng, deps=True, uniform=True, gaps=True)
+    while not any(solver._index_for(trace).dep_mask):  # a trace with delivery records
+        trace = random_trace(rng, deps=True, uniform=True, gaps=True)
+    channel, cost = random_channel(rng), CostModel(kind="convex", slot_duration=2.0)
+    alpha, lam = 0.9, 0.5
+    # The constant baseline rebuilds each state at channel 0, so it is left out.
+    pols = [pol for pol in _roster(trace, channel, cost, alpha, lam)
+            if pol.name != "constant"] + [solve_exhaustive(trace, channel, cost, alpha, lam)]
+    first = monte_carlo(pols, trace, channel, cost, alpha, lam, 60, loss_rate=0.3, seed=9)
+    idx = solver._index_for(trace)
+    interned = list(idx._states.values())
+    assert any(state.deps for state in interned)
+
+    # The same episodes again: every state is looked up, none is built.
+    built = []
+    init = JointState.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(JointState, "__init__", counting_init)
+    again = monte_carlo(pols, trace, channel, cost, alpha, lam, 60, loss_rate=0.3, seed=9)
+    monkeypatch.undo()
+    assert built == []
+    for pol in pols:
+        assert np.array_equal(first[pol.name].utilities, again[pol.name].utilities)
+
+    # Every interned key decodes as a fresh index decodes its state.
+    fresh = solver._TraceIndex(trace)
+    assert all(fresh.state_masks(state, math.inf) == key[1:3]
+               for key, state in idx._states.items())
+
+    for state in interned[::7]:
+        copy = JointState(state.t, frozenset(state.pending), tuple(state.deps), state.channel)
+        for pol in pols:
+            assert pol.decide(copy) == pol.decide(state)
+            if hasattr(pol, "state_value"):
+                assert pol.state_value(copy) == pol.state_value(state)
+        # equal but for the channel: refused on every call
+        for h in (-1, channel.n_states):
+            for pol in pols:
+                with pytest.raises(ValueError, match="channel state"):
+                    pol.decide(replace(state, channel=h))
+
+    # advance_state has no channel bound, so it interns an out-of-range state;
+    # policies still refuse it and an equal hand-built one.
+    start = JointState(0, trace.live(0), (), 0)
+    far = advance_state(start, (), channel.n_states, trace)
+    assert far is advance_state(start, (), channel.n_states, trace)
+    for state in (far, replace(far)):
+        for pol in pols:
+            with pytest.raises(ValueError, match="channel state"):
+                pol.decide(state)
+
+    # A record over the wrong packets is refused and never recorded.
+    state = next(s for s in interned if s.deps)
+    for deps in ((), state.deps + ((max(trace.by_id) + 1, True),)):
+        wrong = replace(state, deps=deps)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pols[0].decide(wrong)
+        assert wrong not in idx._masks
 
 
 def test_greedy_and_oracle_keep_their_trace_index():

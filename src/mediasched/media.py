@@ -30,14 +30,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def close(rel: list[int]) -> list[int]:
-    """Transitive closure of a relation given as one mask per node (Warshall)."""
+def close(rel: list[int], nodes=None) -> list[int]:
+    """Transitive closure of a relation given as one mask per node (Warshall).
+
+    nodes, when given, are the only nodes whose masks are not closed yet:
+    no other mask names one of them, so only these need passing through.
+    """
     reach = list(rel)
-    for k in range(len(reach)):
+    nodes = range(len(reach)) if nodes is None else nodes
+    for k in nodes:
         bit, via = 1 << k, reach[k]
-        for i, mask in enumerate(reach):
-            if mask & bit:
-                reach[i] = mask | via
+        for i in nodes:
+            if reach[i] & bit:
+                reach[i] |= via
     return reach
 
 
@@ -92,12 +97,50 @@ class MediaTrace:
         return {p.id: i for i, p in enumerate(self.packets)}
 
     @cached_property
+    def parent_masks(self) -> list[int]:
+        """Per position, the positions of its parents; unknown parents are skipped."""
+        pos = self._pos
+        return [sum(1 << pos[x] for x in p.parents if x in pos) for p in self.packets]
+
+    @cached_property
+    def topo_order(self) -> list[int]:
+        """Positions in Kahn order: the parentless ones by position, then each
+        packet once its last parent is placed. A packet on a dependency cycle,
+        or depending on one, is never placed and is left out."""
+        parents = self.parent_masks
+        kids: list[list[int]] = [[] for _ in parents]
+        for i, pm in enumerate(parents):
+            for p in _bits(pm):
+                kids[p].append(i)
+        indeg = [pm.bit_count() for pm in parents]
+        order = [i for i, d in enumerate(indeg) if d == 0]
+        for node in order:  # the list grows while it is walked
+            for kid in kids[node]:
+                indeg[kid] -= 1
+                if indeg[kid] == 0:
+                    order.append(kid)
+        return order
+
+    @cached_property
     def ancestor_masks(self) -> list[int]:
         """Per position, the positions it transitively depends on (bit i is
         packets[i]); unknown parents are skipped, and a packet on a dependency
-        cycle is its own ancestor."""
-        pos = self._pos
-        return close([sum(1 << pos[x] for x in p.parents if x in pos) for p in self.packets])
+        cycle is its own ancestor.
+
+        One pass in Kahn order closes every placed packet over its parents'
+        closed masks; only the packets Kahn's pass leaves behind (on or below
+        a cycle) need the Warshall closure, and only among themselves.
+        """
+        parents, order = self.parent_masks, self.topo_order
+        placed = set(order)
+        left = [i for i in range(len(parents)) if i not in placed]
+        anc = [0] * len(parents)
+        for i in order + left:
+            mask = parents[i]
+            for p in _bits(mask):
+                mask |= anc[p]
+            anc[i] = mask
+        return close(anc, left)
 
     @cached_property
     def descendant_masks(self) -> list[int]:

@@ -68,8 +68,9 @@ class ExhaustiveSolution(_Policy):
                     "states_enumerated": self.states_enumerated[t],
                     "actions_evaluated": self.actions_evaluated[t],
                     "values": {
-                        label(t, bmask, dmask, h): float(vec[h])
+                        head + str(h): float(vec[h])
                         for (bmask, dmask), vec in self.values[t].items()
+                        for head in (label(t, bmask, dmask),)
                         for h in range(self.channel.n_states)
                     },
                 }

@@ -24,6 +24,7 @@ trace index uses it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .media import MediaTrace, _bits, close
 
@@ -118,23 +119,43 @@ def _ids(frame, mask: int) -> frozenset[int]:
     return frozenset(frame[i] for i in _bits(mask))
 
 
-def outranked_by(trace: MediaTrace, ids) -> list[int]:
-    """Per position in ids, the mask of the ids outranking it (not closed)."""
+def outranked_by(trace: MediaTrace, ids, pairs=None) -> list[int]:
+    """Per position in ids, the mask of the ids outranking it (not closed).
+
+    pairs, as (a, b) positions in ids, are the only ones compared; by
+    default every pair is.
+    """
     pos = trace._pos
     desc, anc = trace.descendant_masks, trace.ancestor_masks
     packets = [trace.by_id[x] for x in ids]
     at = [pos[x] for x in ids]
     pred = [0] * len(at)
-    for b in range(len(at)):
-        for a in range(b):
-            pa, pb = at[a], at[b]
-            verdict = _order(packets[a], packets[b], 1 << pa, 1 << pb,
-                             desc[pa], desc[pb], anc[pa], anc[pb])
-            if verdict > 0:
-                pred[b] |= 1 << a
-            elif verdict < 0:
-                pred[a] |= 1 << b
+    for a, b in combinations(range(len(at)), 2) if pairs is None else pairs:
+        pa, pb = at[a], at[b]
+        verdict = _order(packets[a], packets[b], 1 << pa, 1 << pb,
+                         desc[pa], desc[pb], anc[pa], anc[pb])
+        if verdict > 0:
+            pred[b] |= 1 << a
+        elif verdict < 0:
+            pred[a] |= 1 << b
     return pred
+
+
+def co_live_pairs(trace: MediaTrace, ids):
+    """Pairs of positions in ids whose packets are live in a common slot.
+
+    Sorted by arrival, a packet meets the later arrivals up to its deadline;
+    every one of them arrives before its own deadline, so the windows overlap.
+    """
+    packets = [trace.by_id[x] for x in ids]
+    order = sorted(range(len(packets)), key=lambda i: packets[i].arrival)
+    for x, a in enumerate(order):
+        deadline = packets[a].deadline
+        for y in range(x + 1, len(order)):
+            b = order[y]
+            if packets[b].arrival > deadline:
+                break
+            yield a, b
 
 
 def arrival_ordered(trace: MediaTrace, ids, pred: list[int]) -> list[int]:

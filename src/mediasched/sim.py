@@ -14,6 +14,7 @@ discounted, lambda-weighted transmission costs actually paid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -64,8 +65,9 @@ def run_episode(
         raise ValueError("channel path shorter than the trace horizon")
     _check_episode_args(idx, channel, cost, alpha, lam, loss_rate)
     log: list[SlotLog] = []
+    losses = _LossDraws(seed) if loss_rate > 0.0 else None
     gain, total_cost, delivered, decodable = _episode(
-        policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, seed, log)
+        policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, losses, log)
     return EpisodeResult(
         utility=gain - lam * total_cost,
         distortion_gain=gain,
@@ -90,19 +92,29 @@ def _check_episode_args(idx, channel, cost, alpha, lam, loss_rate):
 _LOSS_BLOCK = 64
 
 
-def _loss_draws(seed):
-    """The uniforms of default_rng(seed), one at a time."""
-    rng = np.random.default_rng(seed)
-    while True:
-        yield from rng.random(_LOSS_BLOCK).tolist()
+class _LossDraws:
+    """The uniforms of default_rng(seed), drawn a block at a time into one
+    block list that grows on demand. Each iteration reads them from the
+    first, so the policies of a monte_carlo episode share one generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks: list[list[float]] = []
+
+    def __iter__(self):
+        for b in count():
+            if b == len(self.blocks):
+                self.blocks.append(self.rng.random(_LOSS_BLOCK).tolist())
+            yield from self.blocks[b]
 
 
-def _episode(policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, seed, log=None):
+def _episode(policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, losses, log=None):
     """One checked episode: its gain, discounted cost, delivery slot per
-    delivered id and decodable ids. A SlotLog per slot goes to log when one
-    is given; monte_carlo, which reads none, gives none."""
+    delivered id and decodable ids. losses is the episode's _LossDraws, None
+    without loss. A SlotLog per slot goes to log when one is given;
+    monte_carlo, which reads none, gives none."""
     hz = idx.horizon
-    draws = _loss_draws(seed) if loss_rate > 0.0 else None
+    draws = iter(losses) if losses is not None else None
 
     # The loop carries masks; policy.decide gets the index's interned JointState.
     pending, dmask = idx.live_mask[0], 0
@@ -178,11 +190,13 @@ def monte_carlo(
     sample = path_sampler(channel)
     # One generator per episode, as sample_path seeds it, so a path depends
     # only on seed + i and not on how many episodes were drawn before it.
+    # Likewise one loss generator per episode, which every policy reads.
     for i in range(episodes):
         path = sample(hz, seed + i)
+        losses = _LossDraws(seed * 1_000_003 + i) if loss_rate > 0.0 else None
         for pol in policies:
             gain, total_cost, delivered, _ = _episode(
-                pol, idx, trace, channel, path, cost, alpha, loss_rate, seed * 1_000_003 + i)
+                pol, idx, trace, channel, path, cost, alpha, loss_rate, losses)
             u, g, c, d = acc[pol.name]
             u.append(gain - lam * total_cost)
             g.append(gain)

@@ -18,10 +18,14 @@ Two engines, each with its own policy class:
   reward, minus the slot cost of its size, plus the post-decision value it
   leads to. Picking roots one at a time by marginal gain is not enough: a
   cheap parent can be worth sending only for the child it unlocks. The
-  schedulable set and the candidate emissions of a (pending set, record)
-  pair are computed once and shared by every channel state, and slot costs
-  come from a per-solve table indexed by (channel state, batch size k),
-  since one packet size fixes them.
+  candidate emissions of a (pending set, record) pair are computed once and
+  shared by every channel state; the upper sets behind them are walked once
+  per distinct schedulable set in a solve, and dropped when it returns. Slot
+  costs come from a per-solve table indexed by (channel state, batch size
+  k), since one packet size fixes them.
+
+Indexing a trace is linear in its length: priorities are compared only
+between packets live in a common slot, the only pairs any slot reads.
 
 A pending set is a bitmask over packet positions in the trace. The
 delivery record is a bitmask in the same numbering: bit i is set when the
@@ -53,7 +57,7 @@ import numpy as np
 
 from .channel import ChannelModel, CostModel, marginal_cost
 from .media import MediaTrace, TraceValidationError, _bits, validate_trace
-from .priority import arrival_ordered, outranked_by, peel
+from .priority import arrival_ordered, co_live_pairs, outranked_by, peel
 from .single_packet import ThresholdPolicy, _check_inputs, act_single, solve_single
 
 
@@ -101,8 +105,7 @@ class _TraceIndex:
             raise TraceValidationError(bad)
         self.ids = tuple(p.id for p in trace.packets)
         self.pos = {pid: i for i, pid in enumerate(self.ids)}
-        n = len(self.ids)
-        self.n = n
+        self.n = len(self.ids)
         self.q = tuple(p.distortion for p in trace.packets)
         self.size = tuple(p.size_bits for p in trace.packets)
         self.arrival = tuple(p.arrival for p in trace.packets)
@@ -110,57 +113,45 @@ class _TraceIndex:
         self.horizon = trace.horizon
         self.unit = self.size[0] if self.size else 1.0
 
-        self.parent_mask = [0] * n
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(trace.packets):
-            for parent in p.parents:
-                self.parent_mask[i] |= 1 << self.pos[parent]
-                self.children[self.pos[parent]].append(i)
-        self.topo = self._topo_order()
+        self.parent_mask = trace.parent_masks
+        self.topo = trace.topo_order  # every packet: a valid trace has no cycle
 
         hz = self.horizon
         self.live_mask = [0] * (hz + 1)
         self.arrive_mask = [0] * (hz + 2)
         self.expire_mask = [0] * (hz + 1)
-        for i in range(n):
+        # topo_live[t]: topological order restricted to the packets live at t,
+        # which still puts every pending parent ahead of its child; each
+        # packet is swept into its own window.
+        self.topo_live: list[list[int]] = [[] for _ in range(hz + 1)]
+        for i in self.topo:
             self.arrive_mask[self.arrival[i]] |= 1 << i
             self.expire_mask[self.deadline[i]] |= 1 << i
             for t in range(self.arrival[i], self.deadline[i] + 1):
                 self.live_mask[t] |= 1 << i
-        # topo_live[t]: topological order restricted to the packets live at t,
-        # which still puts every pending parent ahead of its child.
-        self.topo_live = [[i for i in self.topo if live >> i & 1] for live in self.live_mask]
+                self.topo_live[t].append(i)
         self.id_str = tuple(str(pid) for pid in self.ids)
 
         self._build_dep_masks()
-        self.cert_pred = outranked_by(trace, self.ids)
+        # Both relations are only ever read between packets live in one slot.
+        self.cert_pred = outranked_by(trace, self.ids, co_live_pairs(trace, self.ids))
         self.aux_pred = arrival_ordered(trace, self.ids, self.cert_pred)
         # Interned states: joint_state builds each once, and state_masks
         # decodes a state equal to one built or checked before by lookup.
         self._states: dict[tuple[int, int, int, int], JointState] = {}
         self._masks: dict[JointState, tuple[int, int]] = {}
 
-    def _topo_order(self) -> list[int]:
-        indeg = [bin(m).count("1") for m in self.parent_mask]
-        order = [i for i in range(self.n) if indeg[i] == 0]
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            for kid in self.children[node]:
-                indeg[kid] -= 1
-                if indeg[kid] == 0:
-                    order.append(kid)
-        return order
-
     def _build_dep_masks(self):
         """Per slot, the expired packets whose delivery state still matters:
         packet i from the slot after its deadline to its children's last
         deadline, so its bit rides through slots where no child is live yet."""
+        last = [-1] * self.n  # the last deadline among each packet's children
+        for j, pm in enumerate(self.parent_mask):
+            for i in _bits(pm):
+                last[i] = max(last[i], self.deadline[j])
         members: list[list[int]] = [[] for _ in range(self.horizon + 2)]
-        for i, kids in enumerate(self.children):
-            last = max((self.deadline[j] for j in kids), default=-1)
-            for t in range(self.deadline[i] + 1, last + 1):
+        for i in range(self.n):
+            for t in range(self.deadline[i] + 1, last[i] + 1):
                 members[t].append(i)
         self.dep_mask = [sum(1 << i for i in m) for m in members]
         # dep_record[t]: (packet id, position) sorted by id, the order of
@@ -301,8 +292,12 @@ class _TraceIndex:
     def deps_tuple(self, t: int, dmask: int) -> tuple[tuple[int, bool], ...]:
         return tuple((pid, bool(dmask >> p & 1)) for pid, p in self.dep_record[t])
 
-    def label(self, t: int, pending: int, dmask: int, h: int) -> str:
-        """Dump key of a state: pending ids, slot t's record and the channel."""
+    def label(self, t: int, pending: int, dmask: int, h: int | str = "") -> str:
+        """Dump key of a state: pending ids, slot t's record and the channel.
+
+        Without h it is the key up to the channel digit, which a dump listing
+        one (pending, record) pair under every channel state appends.
+        """
         bits = []
         while pending:
             low = pending & -pending
@@ -464,19 +459,18 @@ class SolvedPolicy(_Policy):
         return _state_entry(self, state.t, pending, dmask, state.channel)[0]
 
     def _dump_tables(self) -> dict:
-        label = self.idx.label
-        return {
-            "slots": [
-                {
-                    **_slot_counts(self.table, t),
-                    "post_values": {
-                        label(t + 1, bmask, dmask, h): v
-                        for (bmask, dmask, h), v in self.table.post_values[t].items()
-                    },
-                }
-                for t in range(self.idx.horizon + 1)
-            ]
-        }
+        slots = []
+        for t in range(self.idx.horizon + 1):
+            # One label per (pending, record) pair; each channel state
+            # appends its digit.
+            post, heads = {}, {}
+            for (bmask, dmask, h), v in self.table.post_values[t].items():
+                head = heads.get((bmask, dmask))
+                if head is None:
+                    head = heads[bmask, dmask] = self.idx.label(t + 1, bmask, dmask)
+                post[head + str(h)] = v
+            slots.append({**_slot_counts(self.table, t), "post_values": post})
+        return {"slots": slots}
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +479,12 @@ class SolvedPolicy(_Policy):
 
 
 def _post_value(pol: SolvedPolicy, t: int, stripped: int, nxt_dmask: int, h: int) -> float:
-    """Hold value of slot t's post-decision state (stripped, nxt_dmask, h)."""
+    """Hold value of slot t's post-decision state (stripped, nxt_dmask, h)
+    off the planned table: from the memo, or evaluated on demand."""
     key = (stripped, nxt_dmask, h)
-    hit = pol.table.post_values[t].get(key)
-    if hit is None:
-        hit = pol._post_memo[t].get(key)
+    hit = pol._post_memo[t].get(key)
     if hit is not None:
         return hit
-    # Off the planned family: evaluate the next slot on demand.
     nxt_pending = stripped | pol.idx.arrive_mask[t + 1]
     row = pol.channel.transition[h]
     total = 0.0
@@ -522,18 +514,38 @@ def _state_entry(
     return hit
 
 
-def _emissions(idx: _TraceIndex, t: int, pending: int, dmask: int) -> list[tuple]:
+def _emissions(
+    idx: _TraceIndex, t: int, pending: int, dmask: int, walks: dict | None = None
+) -> list[tuple]:
     """Every emission a priority-respecting sender can make in this state.
 
     These are the upper sets of the schedulable packets under the priority
-    relation, which puts every parent ahead of its children: adding roots
-    to the empty emission, breadth first, gives each set once, the smaller
-    ones first, in the order of the first root path that reaches it. Per
-    emission: its packet ids in that order, their distortion sum, and the
-    stripped pending set and record it leaves for slot t + 1, none of which
-    depend on the channel state.
+    relation, which puts every parent ahead of its children. Per emission:
+    its packet ids in root order, their distortion sum, and the stripped
+    pending set and record it leaves for slot t + 1, none of which depend
+    on the channel state. walks maps each schedulable set already walked to
+    its upper sets; a solve shares one across all its slots.
     """
     sched = idx.schedulable(t, pending, dmask)
+    walks = {} if walks is None else walks
+    found = walks.get(sched)
+    if found is None:
+        found = walks[sched] = _upper_sets(idx, sched)
+    kept = pending & ~idx.expire_mask[t]
+    if not idx.dep_mask[t + 1]:  # no record in slot t + 1
+        return [(order, q, kept & ~tx, 0) for tx, order, q in found]
+    return [
+        (order, q, kept & ~tx, idx.dep_after(t, dmask, pending, tx))
+        for tx, order, q in found
+    ]
+
+
+def _upper_sets(idx: _TraceIndex, sched: int) -> list[tuple]:
+    """(mask, ids in root order, distortion sum) of each upper set of sched.
+
+    Adding roots to the empty emission, breadth first, gives each set once,
+    the smaller ones first, in the order of the first root path that reaches it.
+    """
     found = [(0, (), 0.0)]
     seen = {0}
     for tx, order, q in found:  # the list grows while it is walked
@@ -547,11 +559,7 @@ def _emissions(idx: _TraceIndex, t: int, pending: int, dmask: int) -> list[tuple
                 continue
             seen.add(tx | low)
             found.append((tx | low, order + (idx.ids[i],), q + idx.q[i]))
-    kept = pending & ~idx.expire_mask[t]
-    return [
-        (order, q, kept & ~tx, idx.dep_after(t, dmask, pending, tx))
-        for tx, order, q in found
-    ]
+    return found
 
 
 def _resolve(
@@ -571,10 +579,13 @@ def _resolve(
     """
     if emissions is None:
         emissions = _emissions(pol.idx, t, pending, dmask)
-    batch = pol.batch[h]
+    batch, post = pol.batch[h], pol.table.post_values[t]
     best_value, best_order = -math.inf, ()
     for order, q, stripped, nxt_dmask in emissions:
-        value = q - pol.lam * batch[len(order)] + _post_value(pol, t, stripped, nxt_dmask, h)
+        hold = post.get((stripped, nxt_dmask, h))
+        if hold is None:
+            hold = _post_value(pol, t, stripped, nxt_dmask, h)
+        value = q - pol.lam * batch[len(order)] + hold
         if value > best_value:
             best_value, best_order = value, order
     return best_value, best_order
@@ -665,28 +676,35 @@ def solve_convex(
         table.post_values[hz][(0, 0, h)] = 0.0
 
     transition = channel.transition
+    walks: dict[int, list] = {}  # upper sets per schedulable set, for this solve only
     for t in range(hz, -1, -1):
         pre_sets = idx.aux_tree_sets(t)
         records = tuple(idx.records(t))
         arriving = idx.arrive_mask[t]
         values = table.state_values[t]
+        keys, future = [], []
         for pre in pre_sets:
             pending = pre | arriving
             for dmask in records:
-                emissions = _emissions(idx, t, pending, dmask)
+                emissions = _emissions(idx, t, pending, dmask, walks)
                 table.comparisons[t] += n_h * len(emissions)
-                future = []
+                row = []
                 for h in range(n_h):
                     entry = _resolve(pol, t, pending, dmask, h, emissions)
                     values[(pending, dmask, h)] = entry
-                    future.append(entry[0])
-                if t > 0:
-                    held = alpha * (transition @ np.array(future))
-                    for h in range(n_h):
-                        table.post_values[t - 1][(pre, dmask, h)] = float(held[h])
+                    row.append(entry[0])
+                keys.append((pre, dmask))
+                future.append(row)
         table.visited[t] = n_h * len(records) * (len(pre_sets) - 1)
         if t > 0:
             table.stored[t - 1] = table.visited[t]
+            # One stacked product per slot, row by row the same bits as
+            # transition @ row.
+            held = alpha * np.matmul(transition, np.array(future)[:, :, None])[:, :, 0]
+            post = table.post_values[t - 1]
+            for (pre, dmask), row in zip(keys, held.tolist()):
+                for h, value in enumerate(row):
+                    post[(pre, dmask, h)] = value
     # Off-family states that planning evaluated join the table behind the
     # planned ones, in evaluation order, and count as extra.
     for t in range(hz + 1):

@@ -1,6 +1,7 @@
 """Trace structure, validation, serialization, and the synthetic generator."""
 
 import json
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -21,6 +22,7 @@ from mediasched import (
     synth_trace,
     validate_trace,
 )
+from mediasched.media import close
 from conftest import random_trace
 
 
@@ -96,6 +98,58 @@ def test_validate_detects_cycles():
         )
     )
     assert any(v.startswith("dependency cycle") for v in validate_trace(trace))
+
+
+def warshall_ancestry(trace):
+    """Ancestor and descendant masks by the Warshall closure over every packet."""
+    pos = trace._pos
+    anc = close([sum(1 << pos[x] for x in p.parents if x in pos) for p in trace.packets])
+    desc = [sum(1 << i for i, m in enumerate(anc) if m >> a & 1) for a in range(len(anc))]
+    return anc, desc
+
+
+def test_kahn_ancestry_equals_the_warshall_closure():
+    # One pass in Kahn order, with a closure over only what it leaves
+    # behind, gives what the full closure gives: on DAGs with and without
+    # reference gaps, and with cycles, self-references and unknown parents.
+    rng = np.random.default_rng(61)
+    cyclic = 0
+    for k in range(300):
+        trace = random_trace(rng, n=int(rng.integers(2, 12)), deps=True, gaps=bool(k % 2))
+        if k % 3:
+            packets = list(trace.packets)
+            for _ in range(int(rng.integers(1, 4))):
+                a, b = rng.integers(0, len(packets), size=2)
+                extra = packets[b].id if rng.random() < 0.9 else 999
+                packets[a] = replace(packets[a], parents=packets[a].parents | {extra})
+            trace = MediaTrace(packets=tuple(packets))
+        anc, desc = warshall_ancestry(trace)
+        assert trace.ancestor_masks == anc
+        assert trace.descendant_masks == desc
+        looped = sorted(p.id for i, p in enumerate(trace.packets) if anc[i] >> i & 1)
+        cycles = [v for v in validate_trace(trace) if v.startswith("dependency cycle")]
+        want = ["dependency cycle through packets " + ", ".join(map(str, looped))]
+        assert cycles == (want if looped else [])
+        cyclic += bool(looped)
+    assert cyclic > 50
+
+
+def test_cycle_message_leaves_out_packets_below_a_cycle():
+    def packet(pid, parents):
+        return Packet(id=pid, size_bits=1.0, distortion=1.0, arrival=0, deadline=3,
+                      parents=frozenset(parents))
+
+    trace = MediaTrace(packets=(
+        packet(1, {2}), packet(2, {1}), packet(3, {2}), packet(4, {3}), packet(5, ()),
+        packet(6, {6}), packet(7, {5}),
+    ))
+    cycles = [v for v in validate_trace(trace) if v.startswith("dependency cycle")]
+    assert cycles == ["dependency cycle through packets 1, 2, 6"]
+    pos = trace._pos
+    assert trace.topo_order == [pos[5], pos[7]]  # Kahn's pass leaves the rest
+    assert ancestors(trace, 4) == {1, 2, 3}
+    assert descendants(trace, 1) == {1, 2, 3, 4}
+    assert ancestors(trace, 6) == {6}
 
 
 def test_validate_uniform_size_switch():

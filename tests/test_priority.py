@@ -29,6 +29,9 @@ from mediasched import (
     tree_node_sets,
     tree_to_dot,
 )
+from mediasched import priority, synth_trace
+from mediasched.priority import arrival_ordered, co_live_pairs, outranked_by
+from mediasched.solver import _TraceIndex
 from conftest import pairwise_only, random_trace
 
 
@@ -155,6 +158,54 @@ def test_self_comparison_rejected():
 def test_build_priority_graph_rejects_unknown_ids():
     with pytest.raises(ValueError):
         build_priority_graph((1, 9), attr_trace((5, 4), (2, 2)))
+
+
+def test_the_index_compares_co_live_pairs_as_all_pairs_do():
+    # The index asks only about packets live in a common slot, the only
+    # pairs a slot ever reads; there it must agree with the all-pairs
+    # relation, which the id-set adapters keep using (checked against
+    # higher_priority by test_priority_pairs_match_pairwise_verdicts).
+    rng = np.random.default_rng(62)
+    apart = 0
+    for k in range(200):
+        trace = random_trace(rng, n=int(rng.integers(2, 12)), horizon=int(rng.integers(3, 16)),
+                             deps=bool(k % 2), gaps=k % 4 == 1)
+        idx = _TraceIndex(trace)
+        full = outranked_by(trace, idx.ids)
+        full_aux = arrival_ordered(trace, idx.ids, full)
+        windows = [(p.arrival, p.deadline) for p in trace.packets]
+        co_live = [
+            sum(1 << a for a, (arr, dl) in enumerate(windows)
+                if a != b and arr <= windows[b][1] and windows[b][0] <= dl)
+            for b in range(idx.n)
+        ]
+        pairs = list(co_live_pairs(trace, idx.ids))
+        assert len(pairs) == len({frozenset(pr) for pr in pairs})
+        assert {frozenset(pr) for pr in pairs} == {
+            frozenset((a, b)) for b in range(idx.n) for a in range(idx.n) if co_live[b] >> a & 1
+        }
+        for b in range(idx.n):
+            assert idx.cert_pred[b] == full[b] & co_live[b]
+            assert idx.aux_pred[b] == full_aux[b] & co_live[b]
+        apart += any(full[b] & ~co_live[b] for b in range(idx.n))
+    assert apart > 20  # ordered pairs that are never live together exist
+
+
+def test_indexing_a_long_trace_compares_only_co_live_packets(monkeypatch):
+    # 768 chained 4-frame GOPs, 3072 packets: comparing every pair would
+    # take 4.7M verdicts; each packet meets at most its GOP and the next.
+    trace = synth_trace(768, 4, 2, (9.0, 6.0, 4.0, 3.0), seed=41)
+    calls = 0
+    order = priority._order
+
+    def counting_order(*args):
+        nonlocal calls
+        calls += 1
+        return order(*args)
+
+    monkeypatch.setattr(priority, "_order", counting_order)
+    _TraceIndex(trace)
+    assert 0 < calls <= 8 * len(trace.packets)
 
 
 # -- reduction and degree -----------------------------------------------------

@@ -336,7 +336,11 @@ def test_loss_draws_come_in_blocks_from_the_per_slot_stream():
         want = [u for k in rng.integers(0, 9, size=40)
                 for u in per_slot.random(int(k)).tolist()]
         assert len(want) > sim._LOSS_BLOCK
-        assert list(islice(sim._loss_draws(seed), len(want))) == want
+        draws = sim._LossDraws(seed)
+        # Every reader starts at the first uniform; blocks are drawn once.
+        assert list(islice(draws, len(want))) == want
+        assert list(islice(draws, len(want))) == want
+        assert len(draws.blocks) == -(-len(want) // sim._LOSS_BLOCK)
 
 
 def test_monte_carlo_episodes_match_logged_episodes():

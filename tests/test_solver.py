@@ -1,5 +1,6 @@
 """Joint-state transition, both planning engines, and the count accounting."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -24,10 +25,12 @@ from mediasched import (
     solve_linear,
     solve_single,
     standard_dp_counts,
+    synth_trace,
     volatile_scenario,
 )
 from mediasched.priority import close
-from mediasched.solver import _TraceIndex, _emissions, _resolve
+from mediasched import solver
+from mediasched.solver import _TraceIndex, _emissions, _index_for, _resolve
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -270,6 +273,47 @@ def test_emissions_are_the_upper_sets_of_the_schedulable_packets():
                         left &= ~(1 << i)
                 checked += len(got)
     assert checked > 2000
+
+
+def test_no_per_solve_cache_outlives_solve(monkeypatch):
+    # Upper sets are walked once per distinct schedulable set in a solve.
+    # That cache lives in the solve alone: the index, which _index_for keeps
+    # for many traces, and the returned policy keep no trace of it.
+    trace = synth_trace(24, 4, 2, (9.0, 6.0, 4.0, 3.0), seed=41)
+    channel = random_channel(np.random.default_rng(5), 3)
+    cost = CostModel(kind="convex", slot_duration=2.0)
+    idx = _index_for(trace)
+
+    def snapshot():
+        return {k: (v, len(v) if hasattr(v, "__len__") else None) for k, v in vars(idx).items()}
+
+    before = snapshot()
+    walked = []
+    upper_sets = solver._upper_sets
+
+    def counting_upper_sets(idx, sched):
+        walked.append(sched)
+        return upper_sets(idx, sched)
+
+    monkeypatch.setattr(solver, "_upper_sets", counting_upper_sets)
+    pol = solve_convex(trace, channel, cost, 0.9, 1.0)
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert all(after[k][0] is v and after[k][1] == n for k, (v, n) in before.items())
+    fields = {f.name for f in dataclasses.fields(pol)}
+    assert set(vars(pol)) == fields | {"_post_memo", "_state_memo"}
+    assert not any(map(len, pol._post_memo)) and not any(map(len, pol._state_memo))
+    assert not any(pol.table.extra)
+    planned = {
+        idx.schedulable(t, pre | idx.arrive_mask[t], dmask)
+        for t in range(idx.horizon + 1)
+        for pre in idx.aux_tree_sets(t)
+        for dmask in idx.records(t)
+    }
+    assert sorted(walked) == sorted(planned)  # each distinct set once
+    assert len(walked) < sum(
+        len(idx.aux_tree_sets(t)) * len(tuple(idx.records(t))) for t in range(idx.horizon + 1)
+    )
 
 
 def test_label_lists_pending_ids_in_id_order():

@@ -144,11 +144,17 @@ class MediaTrace:
 
     @cached_property
     def descendant_masks(self) -> list[int]:
-        """Per position, the positions that transitively depend on it."""
-        desc = [0] * len(self.packets)
-        for i, anc in enumerate(self.ancestor_masks):
-            for a in _bits(anc):
+        """Per position, the positions that transitively depend on it: the
+        packets Kahn's pass leaves behind (on or below a cycle) join their
+        ancestors' masks, then a reverse pass in Kahn order does the rest."""
+        parents, order = self.parent_masks, self.topo_order
+        desc = [0] * len(parents)
+        for i in set(range(len(parents))).difference(order):
+            for a in _bits(self.ancestor_masks[i]):
                 desc[a] |= 1 << i
+        for i in reversed(order):
+            for p in _bits(parents[i]):
+                desc[p] |= 1 << i | desc[i]
         return desc
 
     @cached_property

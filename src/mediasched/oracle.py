@@ -98,8 +98,6 @@ def solve_exhaustive(
     """Optimal values over the full state space, no reachability pruning."""
     _check_inputs(channel, alpha, lam)
     idx = _index_for(trace)
-    if cost.kind == "convex":
-        idx.require_uniform()
     if idx.n > MAX_EXHAUSTIVE_PACKETS:
         raise ValueError(f"{idx.n} packets exceed the exhaustive limit {MAX_EXHAUSTIVE_PACKETS}")
 

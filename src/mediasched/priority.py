@@ -1,8 +1,8 @@
 """Transmission-priority structure over pending packets.
 
 A packet j outranks k when sending j first never hurts: either k depends on
-j, or j dominates k in distortion, urgency and per-state transmission cost
-while covering k's dependents and depending on nothing k does not depend on
+j, or j has k's size and dominates k in distortion and urgency while
+covering k's dependents and depending on nothing k does not depend on
 (else j could be unsendable in a slot where k is sendable).
 The pairwise tests are sufficient conditions, so the induced graph can leave
 genuinely ordered pairs unconnected; everything downstream only relies on
@@ -61,11 +61,10 @@ class StateTree:
 def higher_priority(j, k, trace: MediaTrace) -> str:
     """Order two packets: 'j_before_k', 'k_before_j', or 'incomparable'.
 
-    The attribute test needs j to dominate k's transmission cost in every
-    channel state as well, which for both cost kinds reduces to j being no
-    larger; with equal sizes the clause is vacuous. Attribute ties in both
-    directions resolve toward the lower id so the relation stays
-    antisymmetric.
+    The attribute test also needs one size: a smaller j is not enough, as
+    under a convex cost it can pay to send the larger k now and keep the
+    smaller, cheaper j for later. Attribute ties in both directions resolve
+    toward the lower id so the relation stays antisymmetric.
     """
     if j.id == k.id:
         raise ValueError("cannot order a packet against itself")
@@ -93,14 +92,14 @@ def _order(
     jk = (
         j.distortion >= k.distortion
         and j.deadline <= k.deadline
-        and j.size_bits <= k.size_bits
+        and j.size_bits == k.size_bits
         and not desc_k & ~desc_j
         and not anc_j & ~anc_k
     )
     kj = (
         k.distortion >= j.distortion
         and k.deadline <= j.deadline
-        and k.size_bits <= j.size_bits
+        and k.size_bits == j.size_bits
         and not desc_j & ~desc_k
         and not anc_k & ~anc_j
     )

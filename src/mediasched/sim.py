@@ -63,11 +63,12 @@ def run_episode(
         raise ValueError(f"channel path leaves the channel's states 0..{channel.n_states - 1}")
     if len(channel_path) < idx.horizon + 1:
         raise ValueError("channel path shorter than the trace horizon")
-    _check_episode_args(idx, channel, cost, alpha, lam, loss_rate)
+    _check_episode_args(channel, alpha, lam, loss_rate)
     log: list[SlotLog] = []
     losses = _LossDraws(seed) if loss_rate > 0.0 else None
+    prices = [{} for _ in channel.states]
     gain, total_cost, delivered, decodable = _episode(
-        policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, losses, log)
+        policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, losses, prices, log)
     return EpisodeResult(
         utility=gain - lam * total_cost,
         distortion_gain=gain,
@@ -78,13 +79,11 @@ def run_episode(
     )
 
 
-def _check_episode_args(idx, channel, cost, alpha, lam, loss_rate):
+def _check_episode_args(channel, alpha, lam, loss_rate):
     """The rules every episode of a run_episode or monte_carlo call shares."""
     if not 0.0 <= loss_rate < 1.0:
         raise ValueError("loss_rate must lie in [0, 1)")
     _check_inputs(channel, alpha, lam)
-    if cost.kind == "convex":
-        idx.require_uniform()
 
 
 # Loss uniforms are drawn this many at a time. Generator.random takes one
@@ -108,11 +107,11 @@ class _LossDraws:
             yield from self.blocks[b]
 
 
-def _episode(policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, losses, log=None):
+def _episode(policy, idx, trace, channel, path, cost, alpha, loss_rate, losses, prices, log=None):
     """One checked episode: its gain, discounted cost, delivery slot per
     delivered id and decodable ids. losses is the episode's _LossDraws, None
-    without loss. A SlotLog per slot goes to log when one is given;
-    monte_carlo, which reads none, gives none."""
+    without loss; prices[h] keeps batch_cost per mask in channel state h for
+    the whole calling run. A SlotLog per slot goes to log when one is given."""
     hz = idx.horizon
     draws = iter(losses) if losses is not None else None
 
@@ -121,12 +120,14 @@ def _episode(policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, 
     delivered_slot: dict[int, int] = {}
     total_cost = 0.0
     for t in range(hz + 1):
-        h = channel_path[t]
+        h = path[t]
         attempted = tuple(policy.decide(idx.joint_state(t, pending, dmask, h)))
-        attempt_mask = idx.mask_of(attempted)
-        if attempt_mask & ~pending:
+        tx = idx.mask_of(attempted)
+        if tx & ~pending:
             raise ValueError(f"{policy.name} attempted packets outside pending")
-        slot_cost = idx.batch_cost(attempt_mask, channel.states[h], cost)
+        slot_cost = prices[h].get(tx)
+        if slot_cost is None:
+            slot_cost = prices[h][tx] = idx.batch_cost(tx, channel.states[h], cost)
         total_cost += alpha**t * slot_cost
         got = attempted
         if draws is not None and attempted:
@@ -185,8 +186,9 @@ def monte_carlo(
     if len(acc) < len(policies):
         raise ValueError("policy names must be distinct, as the reports are keyed by name")
     idx = _index_for(trace)
-    _check_episode_args(idx, channel, cost, alpha, lam, loss_rate)
+    _check_episode_args(channel, alpha, lam, loss_rate)
     hz = idx.horizon
+    prices = [{} for _ in channel.states]
     sample = path_sampler(channel)
     # One generator per episode, as sample_path seeds it, so a path depends
     # only on seed + i and not on how many episodes were drawn before it.
@@ -196,7 +198,7 @@ def monte_carlo(
         losses = _LossDraws(seed * 1_000_003 + i) if loss_rate > 0.0 else None
         for pol in policies:
             gain, total_cost, delivered, _ = _episode(
-                pol, idx, trace, channel, path, cost, alpha, loss_rate, losses)
+                pol, idx, trace, channel, path, cost, alpha, loss_rate, losses, prices)
             u, g, c, d = acc[pol.name]
             u.append(gain - lam * total_cost)
             g.append(gain)
@@ -234,6 +236,8 @@ class DistortionGreedyPolicy:
 
     Ignores deadlines, channel dynamics and same-slot dependency chains; a
     packet is a candidate only once all its parents are already delivered.
+    A packet's price is what it adds to the batch taken so far under a
+    convex cost, and its own cost under a linear one.
     """
 
     trace: MediaTrace
@@ -245,8 +249,6 @@ class DistortionGreedyPolicy:
     def __post_init__(self):
         _check_inputs(self.channel, 0.0, self.lam)  # greedy has no discount
         self.idx = _index_for(self.trace)
-        if self.cost.kind == "convex":
-            self.idx.require_uniform()
 
     def decide(self, state: JointState) -> list[int]:
         idx = self.idx
@@ -257,11 +259,14 @@ class DistortionGreedyPolicy:
             if sched >> i & 1 and not idx.parent_mask[i] & pending
         ]
         cands.sort(key=lambda i: (-idx.q[i], idx.ids[i]))
-        st = self.channel.states[state.channel]
-        out = []
-        for k, i in enumerate(cands, start=1):
-            if idx.q[i] - self.lam * idx.packet_marginal(k, i, st, self.cost) > 0.0:
+        st, cost = self.channel.states[state.channel], self.cost
+        out, sent = [], 0
+        for i in cands:
+            base = sent if cost.kind == "convex" else 0
+            extra = idx.batch_cost(base | 1 << i, st, cost) - idx.batch_cost(base, st, cost)
+            if idx.q[i] - self.lam * extra > 0.0:
                 out.append(idx.ids[i])
+                sent |= 1 << i
             else:
                 break
         return out

@@ -21,8 +21,8 @@ Two engines, each with its own policy class:
   candidate emissions of a (pending set, record) pair are computed once and
   shared by every channel state; the upper sets behind them are walked once
   per distinct schedulable set in a solve, and dropped when it returns. Slot
-  costs come from a per-solve table indexed by (channel state, batch size
-  k), since one packet size fixes them.
+  costs come from a per-solve table indexed by (channel state, price key),
+  where the walk names each emission's sizes by a small key, priced once.
 
 Indexing a trace is linear in its length: priorities are compared only
 between packets live in a common slot, the only pairs any slot reads.
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelModel, CostModel, marginal_cost
+from .channel import ChannelModel, CostModel
 from .media import MediaTrace, TraceValidationError, _bits, validate_trace
 from .priority import arrival_ordered, co_live_pairs, outranked_by, peel
 from .single_packet import ThresholdPolicy, _check_inputs, act_single, solve_single
@@ -111,7 +111,6 @@ class _TraceIndex:
         self.arrival = tuple(p.arrival for p in trace.packets)
         self.deadline = tuple(p.deadline for p in trace.packets)
         self.horizon = trace.horizon
-        self.unit = self.size[0] if self.size else 1.0
 
         self.parent_mask = trace.parent_masks
         self.topo = trace.topo_order  # every packet: a valid trace has no cycle
@@ -158,12 +157,6 @@ class _TraceIndex:
         # JointState.deps; dep_ids[t]: the ids alone.
         self.dep_record = [tuple(sorted((self.ids[i], i) for i in m)) for m in members]
         self.dep_ids = [tuple(pid for pid, _ in rec) for rec in self.dep_record]
-
-    def require_uniform(self):
-        """Refuse mixed sizes: batch_cost and solve_convex price packets as one size."""
-        sizes = sorted(set(self.size))
-        if len(sizes) > 1:
-            raise TraceValidationError([f"nonuniform packet sizes {sizes} not supported here"])
 
     # -- state helpers ------------------------------------------------------
 
@@ -219,22 +212,16 @@ class _TraceIndex:
         return not any(self.parent_mask[i] & pending & ~tx for i in _bits(tx))
 
     def batch_cost(self, tx: int, state, cost: CostModel) -> float:
+        """Cost of sending the packets of tx in one slot: of their total bits
+        under a convex cost, the sum of their own costs under a linear one."""
         if tx == 0:
             return 0.0
         if cost.kind == "convex":
-            return cost.cost(bin(tx).count("1") * self.unit, state)
+            return cost.cost(math.fsum(self.size[i] for i in _bits(tx)), state)
         total = 0.0
-        mm = tx
-        while mm:
-            low = mm & -mm
-            total += cost.cost(self.size[low.bit_length() - 1], state)
-            mm ^= low
+        for i in _bits(tx):
+            total += cost.cost(self.size[i], state)
         return total
-
-    def packet_marginal(self, k: int, i: int, state, cost: CostModel) -> float:
-        if cost.kind == "convex":
-            return marginal_cost(cost, k, self.unit, state)
-        return cost.cost(self.size[i], state)
 
     def aux_tree_sets(self, t: int) -> list[int]:
         """Distinct pre-arrival pending sets at slot t, root-peeling family."""
@@ -435,9 +422,10 @@ class SolvedPolicy(_Policy):
 
     table: ValueTable
     idx: _TraceIndex
-    # batch[h][k]: cost of sending k packets in channel state h; one packet
-    # size makes it independent of which.
+    # batch[h][key]: cost in channel state h of the emissions _upper_sets
+    # gives that key; keys[(key, size)]: the key of one plus a packet of size.
     batch: list[list[float]]
+    keys: dict[tuple[int, float], int]
 
     def __post_init__(self):
         # Off-plan states evaluated while acting, per slot. The table is
@@ -515,40 +503,44 @@ def _state_entry(
 
 
 def _emissions(
-    idx: _TraceIndex, t: int, pending: int, dmask: int, walks: dict | None = None
+    pol: SolvedPolicy, t: int, pending: int, dmask: int, walks: dict | None = None
 ) -> list[tuple]:
     """Every emission a priority-respecting sender can make in this state.
 
     These are the upper sets of the schedulable packets under the priority
     relation, which puts every parent ahead of its children. Per emission:
-    its packet ids in root order, their distortion sum, and the stripped
-    pending set and record it leaves for slot t + 1, none of which depend
-    on the channel state. walks maps each schedulable set already walked to
-    its upper sets; a solve shares one across all its slots.
+    its packet ids in root order, their distortion sum, the stripped pending
+    set and record it leaves for slot t + 1, and its key in pol.batch, none
+    of which depend on the channel state. walks maps each schedulable set
+    already walked to its upper sets; a solve shares one across its slots.
     """
+    idx = pol.idx
     sched = idx.schedulable(t, pending, dmask)
     walks = {} if walks is None else walks
     found = walks.get(sched)
     if found is None:
-        found = walks[sched] = _upper_sets(idx, sched)
+        found = walks[sched] = _upper_sets(pol, sched)
     kept = pending & ~idx.expire_mask[t]
     if not idx.dep_mask[t + 1]:  # no record in slot t + 1
-        return [(order, q, kept & ~tx, 0) for tx, order, q in found]
+        return [(order, q, kept & ~tx, 0, key) for tx, order, q, key in found]
     return [
-        (order, q, kept & ~tx, idx.dep_after(t, dmask, pending, tx))
-        for tx, order, q in found
+        (order, q, kept & ~tx, idx.dep_after(t, dmask, pending, tx), key)
+        for tx, order, q, key in found
     ]
 
 
-def _upper_sets(idx: _TraceIndex, sched: int) -> list[tuple]:
-    """(mask, ids in root order, distortion sum) of each upper set of sched.
+def _upper_sets(pol: SolvedPolicy, sched: int) -> list[tuple]:
+    """(mask, root-order ids, distortion sum, price key) per upper set of sched.
 
     Adding roots to the empty emission, breadth first, gives each set once,
-    the smaller ones first, in the order of the first root path that reaches it.
+    the smaller ones first, in the order of the first root path that reaches
+    it. A set's key extends the key of the set before its last root by that
+    root's size, so equal keys mean equal sizes: a new key is priced once.
     """
-    found = [(0, (), 0.0)]
+    idx, keys, batch = pol.idx, pol.keys, pol.batch
+    found = [(0, (), 0.0, 0)]
     seen = {0}
-    for tx, order, q in found:  # the list grows while it is walked
+    for tx, order, q, key in found:  # the list grows while it is walked
         rest = sched & ~tx
         mm = rest
         while mm:
@@ -558,7 +550,12 @@ def _upper_sets(idx: _TraceIndex, sched: int) -> list[tuple]:
             if idx.cert_pred[i] & rest or tx | low in seen:
                 continue
             seen.add(tx | low)
-            found.append((tx | low, order + (idx.ids[i],), q + idx.q[i]))
+            nxt = keys.get((key, idx.size[i]))
+            if nxt is None:
+                nxt = keys[key, idx.size[i]] = len(batch[0])
+                for row, st in zip(batch, pol.channel.states):
+                    row.append(idx.batch_cost(tx | low, st, pol.cost))
+            found.append((tx | low, order + (idx.ids[i],), q + idx.q[i], nxt))
     return found
 
 
@@ -578,14 +575,14 @@ def _resolve(
     emissions is _emissions(...) when the caller already has it.
     """
     if emissions is None:
-        emissions = _emissions(pol.idx, t, pending, dmask)
+        emissions = _emissions(pol, t, pending, dmask)
     batch, post = pol.batch[h], pol.table.post_values[t]
     best_value, best_order = -math.inf, ()
-    for order, q, stripped, nxt_dmask in emissions:
+    for order, q, stripped, nxt_dmask, key in emissions:
         hold = post.get((stripped, nxt_dmask, h))
         if hold is None:
             hold = _post_value(pol, t, stripped, nxt_dmask, h)
-        value = q - pol.lam * batch[len(order)] + hold
+        value = q - pol.lam * batch[key] + hold
         if value > best_value:
             best_value, best_order = value, order
     return best_value, best_order
@@ -640,13 +637,11 @@ def solve_convex(
 ) -> SolvedPolicy:
     """Backward induction over the root-peeling state family.
 
-    Requires a common packet size for both cost kinds: the root-peeling
-    optimality argument prices packets interchangeably within a slot.
-    Heterogeneous sizes belong to the decomposed linear path.
+    Takes either cost kind and any mix of packet sizes: every emission is
+    priced by _TraceIndex.batch_cost.
     """
     _check_inputs(channel, alpha, lam)
     idx = _index_for(trace)
-    idx.require_uniform()
     hz = idx.horizon
     n_h = channel.n_states
     table = ValueTable(
@@ -657,9 +652,6 @@ def solve_convex(
         comparisons=[0] * (hz + 1),
         extra=[0] * (hz + 2),
     )
-    # A batch never outgrows its slot's live set; the table reuses the
-    # index's cost function on k-bit masks, so each entry is the float it gives.
-    k_max = max(map(int.bit_count, idx.live_mask))
     pol = SolvedPolicy(
         trace=trace,
         channel=channel,
@@ -668,8 +660,8 @@ def solve_convex(
         lam=lam,
         table=table,
         idx=idx,
-        batch=[[idx.batch_cost((1 << k) - 1, st, cost) for k in range(k_max + 1)]
-               for st in channel.states],
+        batch=[[0.0] for _ in range(n_h)],
+        keys={},
     )
     # Past the last deadline everything has expired or been dropped.
     for h in range(n_h):
@@ -686,7 +678,7 @@ def solve_convex(
         for pre in pre_sets:
             pending = pre | arriving
             for dmask in records:
-                emissions = _emissions(idx, t, pending, dmask, walks)
+                emissions = _emissions(pol, t, pending, dmask, walks)
                 table.comparisons[t] += n_h * len(emissions)
                 row = []
                 for h in range(n_h):

@@ -235,7 +235,7 @@ def test_criterion_06_per_slot_state_counts():
 def test_criterion_07_no_priority_order_violations_in_reachable_states():
     rng = np.random.default_rng(107)
     exclusions = checked = 0
-    for _ in range(100):
+    for _ in range(300):
         trace = random_trace(rng, deps=bool(rng.integers(0, 2)))
         for t in range(trace.horizon + 1):
             states, _ = reachable_states(trace, t)

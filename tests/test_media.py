@@ -19,6 +19,7 @@ from mediasched import (
     dump_trace,
     load_trace,
     solve_convex,
+    solve_exhaustive,
     synth_trace,
     validate_trace,
 )
@@ -110,8 +111,9 @@ def warshall_ancestry(trace):
 
 def test_kahn_ancestry_equals_the_warshall_closure():
     # One pass in Kahn order, with a closure over only what it leaves
-    # behind, gives what the full closure gives: on DAGs with and without
-    # reference gaps, and with cycles, self-references and unknown parents.
+    # behind, gives what the full closure gives, and the reverse pass gives
+    # its transpose: on DAGs with and without reference gaps, and with
+    # cycles, self-references and unknown parents.
     rng = np.random.default_rng(61)
     cyclic = 0
     for k in range(300):
@@ -152,9 +154,8 @@ def test_cycle_message_leaves_out_packets_below_a_cycle():
     assert ancestors(trace, 6) == {6}
 
 
-def test_validate_uniform_size_switch():
-    # Mixed sizes are a valid trace; only the engines that price packets as
-    # one size refuse them, through the trace index.
+def test_mixed_sizes_are_valid_and_planned():
+    # Mixed sizes are a valid trace, and the joint engine plans them.
     trace = MediaTrace(
         packets=(
             Packet(id=0, size_bits=1.0, distortion=1.0, arrival=0, deadline=2),
@@ -163,8 +164,18 @@ def test_validate_uniform_size_switch():
     )
     assert validate_trace(trace) == []
     _, channel, cost, alpha, lam = SCENARIOS["standard"]()
-    with pytest.raises(TraceValidationError, match="nonuniform packet sizes"):
-        solve_convex(trace, channel, cost, alpha, lam)
+    got = solve_convex(trace, channel, cost, alpha, lam).initial_values()
+    want = solve_exhaustive(trace, channel, cost, alpha, lam).initial_values()
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_descendant_masks_of_a_long_chain():
+    # One chain is the longest ancestry a trace of n packets can have, and
+    # one reverse pass in Kahn order gives every frame the frames after it.
+    n = 3072
+    desc = synth_trace(1, n, 1, [1.0] * n, seed=0).descendant_masks
+    full = (1 << n) - 1
+    assert all(m == full & ~((2 << i) - 1) for i, m in enumerate(desc))
 
 
 def test_round_trip():

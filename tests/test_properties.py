@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mediasched import (
     SCENARIOS,
     CostModel,
+    JointState,
     disconnection_degree,
     monte_carlo,
     reachable_states,
@@ -37,8 +38,9 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 
 @st.composite
 def instances(draw, gaps=False):
-    """At most 8 packets of one size, with or without dependencies, and 1-3
-    channel states; hypothesis picks the shape, a drawn seed the numbers.
+    """At most 8 packets of one size or of mixed sizes, with or without
+    dependencies, and 1-3 channel states; hypothesis picks the shape, a
+    drawn seed the numbers.
     With gaps, the trace has some reference that resumes after a slot gap
     past its parent's deadline, over a horizon of 4-8."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -46,7 +48,7 @@ def instances(draw, gaps=False):
         n=draw(st.integers(1 + gaps, 8)),
         horizon=draw(st.integers(2 + 2 * gaps, 6 + 2 * gaps)),
         deps=gaps or draw(st.booleans()),
-        uniform=True,
+        uniform=draw(st.booleans()),
         gaps=gaps,
     )
     trace = random_trace(rng, **shape)
@@ -66,6 +68,24 @@ def test_initial_values_match_the_exhaustive_reference(inst):
     want = solve_exhaustive(*inst).initial_values()
     for a, b in zip(got, want):
         assert rel_close(a, b), (got, want)
+
+
+def test_a_smaller_packet_need_not_go_first_under_a_convex_cost():
+    # Packet 3 is smaller than packet 2, worth more and due as soon. In
+    # channel state 0 the best plan still sends packet 2 alone and keeps the
+    # cheaper packet 3 for later, so a priority rule letting the smaller
+    # packet outrank the larger one would plan below the exhaustive optimum.
+    rng = np.random.default_rng(17)
+    trace = random_trace(rng, n=2)
+    inst = (trace, random_channel(rng, n_states=2), CostModel(kind="convex"), 0.9, 1.0)
+    p2, p3 = trace.packets
+    assert p3.size_bits < p2.size_bits and p3.distortion > p2.distortion
+    assert p3.deadline == p2.deadline
+    pol, ref = solve_convex(*inst), solve_exhaustive(*inst)
+    start = JointState(0, frozenset({2, 3}), (), 0)
+    assert pol.decide(start) == ref.decide(start) == [2]
+    for a, b in zip(pol.initial_values(), ref.initial_values()):
+        assert rel_close(a, b)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=160)
@@ -121,10 +141,11 @@ def check_bellman(inst):
             state = channel.states[h]
             tx = idx.mask_of(order)
             gain = sum(trace.by_id[pid].distortion for pid in order)
+            sizes = [trace.by_id[pid].size_bits for pid in order]
             if cost.kind == "convex":
-                paid = cost.cost(len(order) * idx.unit, state) if order else 0.0
+                paid = cost.cost(sum(sizes), state) if order else 0.0
             else:
-                paid = sum(cost.cost(trace.by_id[pid].size_bits, state) for pid in order)
+                paid = sum(cost.cost(size, state) for size in sizes)
             stripped = pending & ~tx & ~idx.expire_mask[t]
             key = (stripped, idx.dep_after(t, dmask, pending, tx), h)
             post = table.post_values[t][key]

@@ -166,18 +166,24 @@ def test_episode_input_validation():
                         loss_rate=bad)
 
 
-def test_convex_episodes_and_greedy_refuse_mixed_packet_sizes():
-    # batch_cost prices a convex batch by its packet count, which would
-    # charge packet 2 alone as a 1-bit packet.
+def test_convex_episodes_and_greedy_price_mixed_packet_sizes():
+    # A convex batch is priced on its total bits, so packet 2 alone is
+    # charged as the 4-bit packet it is, and both packets as 5 bits.
     trace = MediaTrace(packets=(
         Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=2),
         Packet(id=2, size_bits=4.0, distortion=9.0, arrival=0, deadline=2),
     ))
     _, channel, cost, alpha, lam = standard_scenario()
-    with pytest.raises(ValueError, match="nonuniform packet sizes"):
-        baseline_distortion_greedy(trace, channel, cost, lam)
-    with pytest.raises(ValueError, match="nonuniform packet sizes"):
-        run_episode(Script({1: (2,)}), trace, channel, [1, 1, 1], cost, alpha, lam)
+    good = channel.states[1]
+    res = run_episode(Script({1: (2,)}), trace, channel, [1, 1, 1], cost, alpha, lam)
+    assert res.log[1].cost == cost.cost(4.0, good)
+    assert res.cost == alpha * cost.cost(4.0, good)
+    res = run_episode(Script({0: (2, 1)}), trace, channel, [1, 1, 1], cost, alpha, lam)
+    assert res.cost == cost.cost(5.0, good)
+    # Greedy sends packet 2 (9 against 6.0) and stops at packet 1, which
+    # would add 12.4 - 6.0 for a weight of 5.
+    greedy = baseline_distortion_greedy(trace, channel, cost, lam)
+    assert greedy.decide(JointState(0, frozenset({1, 2}), (), 1)) == [2]
     # a linear cost prices each packet by its own size
     linear = CostModel(kind="linear")
     res = run_episode(Script({1: (2,)}), trace, channel, [1, 1, 1], linear, 1.0, lam)

@@ -246,7 +246,8 @@ def test_emissions_are_the_upper_sets_of_the_schedulable_packets():
     checked = 0
     for _ in range(150):
         trace = random_trace(rng, n=int(rng.integers(2, 8)), deps=bool(rng.integers(0, 2)))
-        idx = _TraceIndex(trace)
+        pol = solve_convex(trace, flat_channel(), CostModel(kind="convex"), 0.9, 1.0)
+        idx = pol.idx
         above = close(idx.cert_pred)
         for t in range(trace.horizon + 1):
             for dmask in idx.records(t):
@@ -257,12 +258,12 @@ def test_emissions_are_the_upper_sets_of_the_schedulable_packets():
                     if not tx & ~sched
                     and all(not above[i] & sched & ~tx for i in range(idx.n) if tx >> i & 1)
                 }
-                got = _emissions(idx, t, pending, dmask)
+                got = _emissions(pol, t, pending, dmask)
                 sets = [idx.mask_of(order) for order, *_ in got]
                 assert len(sets) == len(set(sets)) and set(sets) == want
                 sizes = [len(order) for order, *_ in got]
                 assert sizes == sorted(sizes)
-                for (order, q, stripped, nxt), tx in zip(got, sets):
+                for (order, q, stripped, nxt, _), tx in zip(got, sets):
                     assert q == sum(trace.by_id[pid].distortion for pid in order)
                     assert stripped == pending & ~tx & ~idx.expire_mask[t]
                     assert nxt == idx.dep_after(t, dmask, pending, tx)
@@ -291,9 +292,9 @@ def test_no_per_solve_cache_outlives_solve(monkeypatch):
     walked = []
     upper_sets = solver._upper_sets
 
-    def counting_upper_sets(idx, sched):
+    def counting_upper_sets(pol, sched):
         walked.append(sched)
-        return upper_sets(idx, sched)
+        return upper_sets(pol, sched)
 
     monkeypatch.setattr(solver, "_upper_sets", counting_upper_sets)
     pol = solve_convex(trace, channel, cost, 0.9, 1.0)
@@ -365,9 +366,10 @@ def test_solve_linear_refuses_dependencies_and_convex_cost():
         solve_linear(free, flat_channel(), CostModel(kind="convex"), 0.9, 1.0)
 
 
-def test_joint_engine_requires_uniform_sizes():
-    # the root-peeling argument treats packets as cost-interchangeable, so
-    # mixed sizes are only solvable through the decomposed linear path
+def test_joint_engine_plans_mixed_sizes():
+    # Packets of two sizes are planned under both cost kinds, to the
+    # exhaustive reference's values; under a linear cost the decomposed
+    # engine agrees too.
     trace = MediaTrace(
         packets=(
             Packet(id=1, size_bits=1.0, distortion=5.0, arrival=0, deadline=2),
@@ -375,9 +377,11 @@ def test_joint_engine_requires_uniform_sizes():
         )
     )
     for kind in ("convex", "linear"):
-        with pytest.raises(Exception, match="nonuniform"):
-            solve_convex(trace, flat_channel(), CostModel(kind=kind), 0.9, 1.0)
-    solve_linear(trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0)
+        inst = (trace, flat_channel(), CostModel(kind=kind), 0.9, 1.0)
+        got = solve_convex(*inst).initial_values()
+        assert all(map(rel_close, got, solve_exhaustive(*inst).initial_values()))
+        if kind == "linear":
+            assert all(map(rel_close, solve_linear(*inst).initial_values(), got))
 
 
 def test_both_engines_reject_the_states_the_table_engine_rejects():
@@ -584,26 +588,36 @@ def test_independent_queries_stay_on_plan():
 
 @pytest.mark.parametrize("kind", ["linear", "convex"])
 def test_cost_table_equals_the_cost_function(kind):
-    # batch[h][k] is the float batch_cost gives for any k-packet batch.
+    # batch[h][key] is the float batch_cost gives for every emission of the
+    # plan with that key. On one packet size the key is the emission's size.
+    # Under a linear cost, emissions sharing a key can sum the same costs
+    # in another order, so mixed sizes agree to rounding.
     rng = np.random.default_rng(16)
     cost = CostModel(kind=kind, slot_duration=1.5)
-    for _ in range(10):
+    for i in range(20):
+        uniform = i % 2 == 0
         trace = random_trace(rng, n=int(rng.integers(2, 8)), deps=bool(rng.integers(0, 2)),
-                             uniform=True)
-        unit = float(rng.uniform(0.5, 2.0))
-        trace = MediaTrace(packets=tuple(replace(p, size_bits=unit) for p in trace.packets))
+                             uniform=uniform)
+        if uniform:
+            unit = float(rng.uniform(0.5, 2.0))
+            trace = MediaTrace(packets=tuple(replace(p, size_bits=unit) for p in trace.packets))
         channel = random_channel(rng, n_states=3)
         pol = solve_convex(trace, channel, cost, 0.9, 1.0)
         idx = pol.idx
-        k_max = max(bin(m).count("1") for m in idx.live_mask)
-        for h, state in enumerate(channel.states):
-            assert len(pol.batch[h]) == k_max + 1
-            assert pol.batch[h][0] == 0.0
-            for k in range(1, k_max + 1):
-                for _ in range(5):
-                    picks = rng.choice(idx.n, size=k, replace=False)
-                    tx = sum(1 << int(i) for i in picks)
-                    assert pol.batch[h][k] == idx.batch_cost(tx, state, cost)
+        assert all(row[0] == 0.0 for row in pol.batch)
+        for t in range(idx.horizon + 1):
+            for pre in idx.aux_tree_sets(t):
+                for dmask in idx.records(t):
+                    for order, *_, key in _emissions(pol, t, pre | idx.arrive_mask[t], dmask):
+                        if uniform:
+                            assert key == len(order)
+                        tx = idx.mask_of(order)
+                        for h, state in enumerate(channel.states):
+                            want = idx.batch_cost(tx, state, cost)
+                            if uniform or kind == "convex":
+                                assert pol.batch[h][key] == want
+                            else:
+                                assert rel_close(pol.batch[h][key], want, 1e-12)
 
 
 def test_schedulable_runs_once_per_pending_set_and_record(monkeypatch):
@@ -652,7 +666,7 @@ def test_comparisons_count_every_planned_emission_per_channel_state():
         idx, n_h = pol.idx, pol.channel.n_states
         for t in range(idx.horizon + 1):
             scored = sum(
-                len(_emissions(idx, t, pre | idx.arrive_mask[t], dmask))
+                len(_emissions(pol, t, pre | idx.arrive_mask[t], dmask))
                 for pre in idx.aux_tree_sets(t)
                 for dmask in idx.records(t)
             )

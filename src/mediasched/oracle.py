@@ -49,11 +49,9 @@ class ExhaustiveSolution(_Policy):
     name = "oracle"
     mode = "exhaustive"
 
-    def decide(self, state: JointState) -> list[int]:
-        idx = self.idx
-        pending, dmask = idx.state_masks(state, self.channel.n_states)
-        tx = self.actions[state.t][(pending, dmask, state.channel)]
-        return [idx.ids[i] for i in idx.topo if tx >> i & 1]
+    def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
+        tx = self.actions[t][(pending, dmask, h)]
+        return tuple(self.idx.ids[i] for i in self.idx.topo if tx >> i & 1)
 
     def state_value(self, state: JointState) -> float:
         pending, dmask = self.idx.state_masks(state, self.channel.n_states)
@@ -109,6 +107,7 @@ def solve_exhaustive(
     states_enumerated = [0] * (hz + 1)
     actions_evaluated = [0] * (hz + 1)
     values[hz + 1][(0, 0)] = np.zeros(n_h)
+    prices: dict[int, list[float]] = {}  # tx -> its batch cost per channel state
 
     for t in range(hz, -1, -1):
         live = idx.live_mask[t]
@@ -130,12 +129,11 @@ def solve_exhaustive(
                         low = mm & -mm
                         gain += idx.q[low.bit_length() - 1]
                         mm ^= low
+                    price = prices.get(tx)
+                    if price is None:
+                        price = prices[tx] = [idx.batch_cost(tx, s, cost) for s in channel.states]
                     for h in range(n_h):
-                        cand = (
-                            gain
-                            - lam * idx.batch_cost(tx, channel.states[h], cost)
-                            + cont[h]
-                        )
+                        cand = gain - lam * price[h] + cont[h]
                         if cand > best[h]:
                             best[h] = cand
                             best_tx[h] = tx

@@ -45,12 +45,15 @@ evaluated lazily on demand. Those met while planning join the table and are
 tallied as extra; those met while acting go to per-slot memos on the policy,
 so acting never changes a solved table. Every state value is stored with the
 emission order that achieves it, so deciding in a known state is a lookup.
+Every engine decides through _Policy.decide, which remembers the emission of
+each state the index interned, so deciding that state again is one lookup by
+identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -347,6 +350,22 @@ class _Policy:
     lam: float
 
     name = "proposed"  # baselines rename their instance
+    # id of a state the index interned -> its emission. The index keeps those
+    # states alive, so no id here is reused while the policy holds its index.
+    _decided: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+
+    def decide(self, state: JointState) -> list[int]:
+        """Ordered packet ids to emit in state.t."""
+        hit = self._decided.get(id(state))
+        if hit is not None:
+            return list(hit)
+        idx = self.idx
+        pending, dmask = idx.state_masks(state, self.channel.n_states)
+        key = (state.t, pending, dmask, state.channel)
+        emission = self._act(*key)
+        if idx._states.get(key) is state:  # never a caller's copy, whose id may be reused
+            self._decided[id(state)] = emission
+        return list(emission)
 
     def initial_values(self) -> np.ndarray:
         """Expected total value per starting channel state."""
@@ -380,11 +399,10 @@ class DecomposedPolicy(_Policy):
 
     mode = "linear_decomposed"
 
-    def decide(self, state: JointState) -> list[int]:
-        """Pending packet ids whose stopping rule fires in state.t, in id order."""
-        self.idx.state_masks(state, self.channel.n_states)  # refuses what SolvedPolicy refuses
-        return [pid for pid in sorted(state.pending)
-                if act_single(self.per_packet[pid], state.t, state.channel)]
+    def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
+        """Pending packet ids whose stopping rule fires in slot t, in id order."""
+        return tuple(pid for pid in sorted(self.idx.ids_of(pending))
+                     if act_single(self.per_packet[pid], t, h))
 
     def state_value(self, state: JointState) -> float:
         pending, _ = self.idx.state_masks(state, self.channel.n_states)
@@ -437,10 +455,8 @@ class SolvedPolicy(_Policy):
     def mode(self) -> str:
         return "convex_interdependent" if self.trace.has_dependencies else "convex_independent"
 
-    def decide(self, state: JointState) -> list[int]:
-        """Ordered packet ids to emit in state.t."""
-        pending, dmask = self.idx.state_masks(state, self.channel.n_states)
-        return list(_state_entry(self, state.t, pending, dmask, state.channel)[1])
+    def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
+        return _state_entry(self, t, pending, dmask, h)[1]
 
     def state_value(self, state: JointState) -> float:
         pending, dmask = self.idx.state_masks(state, self.channel.n_states)

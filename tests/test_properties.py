@@ -38,14 +38,14 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 
 @st.composite
 def instances(draw, gaps=False):
-    """At most 8 packets of one size or of mixed sizes, with or without
+    """At most 10 packets of one size or of mixed sizes, with or without
     dependencies, and 1-3 channel states; hypothesis picks the shape, a
     drawn seed the numbers.
     With gaps, the trace has some reference that resumes after a slot gap
     past its parent's deadline, over a horizon of 4-8."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = dict(
-        n=draw(st.integers(1 + gaps, 8)),
+        n=draw(st.integers(1 + gaps, 10)),
         horizon=draw(st.integers(2 + 2 * gaps, 6 + 2 * gaps)),
         deps=gaps or draw(st.booleans()),
         uniform=draw(st.booleans()),

@@ -4,7 +4,7 @@ import json
 import math
 from dataclasses import replace
 from functools import partial
-from itertools import islice, product
+from itertools import cycle, islice, product
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from mediasched import (
     TraceValidationError,
     advance_state,
     ancestors,
+    averaged_channel,
     baseline_constant_channel,
     baseline_distortion_greedy,
     baseline_myopic,
@@ -29,10 +30,13 @@ from mediasched import (
     run_episode,
     sample_path,
     solve,
+    solve_convex,
     solve_exhaustive,
+    solve_linear,
     solve_single,
     standard_scenario,
     synth_trace,
+    volatile_scenario,
 )
 from mediasched import sim, solver
 from conftest import random_channel, random_trace, rel_close
@@ -315,13 +319,44 @@ def test_planned_decides_are_one_lookup(monkeypatch):
     monkeypatch.setattr(solver, "_resolve", counting_resolve)
     monte_carlo([rec], trace, channel, cost, alpha, lam,
                 episodes=200, loss_rate=0.1, seed=3)
-    # One conversion per decide and none from the episode loop.
+    # One conversion per distinct interned state and none from the episode
+    # loop: a repeated state is decided from the policy's memo.
     assert len(rec.states) == (trace.horizon + 1) * 200
-    assert masks == rec.states
+    assert sorted(map(id, masks)) == sorted({id(s) for s in rec.states})
+    assert len(pol._decided) == len(masks) < len(rec.states)
     # Planned states are looked up; only off-plan states are walked, once each.
     assert walks
     assert all(key not in pol.table.state_values[t] for t, key in walks)
     assert len(set(walks)) == len(walks) == sum(map(len, pol._state_memo))
+
+
+@pytest.mark.parametrize("engine", [solve_linear, solve_convex, solve_exhaustive])
+def test_decide_remembers_only_states_the_index_interned(engine):
+    trace, channel, cost, alpha, lam = volatile_scenario()
+    pol = engine(trace, channel, cost, alpha, lam)
+    monte_carlo([pol], trace, channel, cost, alpha, lam, episodes=50, loss_rate=0.1, seed=5)
+    idx = pol.idx
+    memoised = [s for s in idx._states.values() if id(s) in pol._decided]
+    assert memoised and len(pol._decided) == len(memoised) <= len(idx._states)
+    for state in memoised:
+        masks = idx.state_masks(state, channel.n_states)
+        want = list(pol._act(state.t, *masks, state.channel))
+        assert pol.decide(state) == want == pol.decide(replace(state))
+        out = pol.decide(state)
+        out.append(-1)
+        assert pol.decide(state) == want
+    # Equal but distinct copies are decided, never remembered.
+    size = len(pol._decided)
+    for state in islice(cycle(memoised), 500):
+        pol.decide(replace(state))
+    assert len(pol._decided) == size
+    # Each policy checks a state against its own channel before remembering it.
+    one_state = engine(trace, averaged_channel(channel), cost, alpha, lam)
+    assert one_state.idx is idx
+    state = next(s for s in memoised if s.channel == 1)
+    with pytest.raises(ValueError, match="channel state"):
+        one_state.decide(state)
+    assert id(state) not in one_state._decided
 
 
 def _roster(trace, channel, cost, alpha, lam):

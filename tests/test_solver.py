@@ -304,6 +304,7 @@ def test_no_per_solve_cache_outlives_solve(monkeypatch):
     fields = {f.name for f in dataclasses.fields(pol)}
     assert set(vars(pol)) == fields | {"_post_memo", "_state_memo"}
     assert not any(map(len, pol._post_memo)) and not any(map(len, pol._state_memo))
+    assert "_decided" in fields and not pol._decided  # decide fills it, solve never does
     assert not any(pol.table.extra)
     planned = {
         idx.schedulable(t, pre | idx.arrive_mask[t], dmask)

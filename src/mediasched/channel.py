@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,34 +159,99 @@ def _cdf(p) -> list[float]:
     return (c / c[-1]).tolist()
 
 
-def path_sampler(model: ChannelModel):
-    """Return sample(horizon, seed), which draws what sample_path draws.
+_M32, _PCG_MULT = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+# Below _BLOCK_MIN seeds a numpy block costs more per seed than default_rng: on a
+# 2-vCPU machine (numpy 2.4) 13 uniforms took 18, 13 and 6.3 us per seed in blocks of
+# 8, 16 and 32 against 14-16 us. Blocks hold at most _BLOCK_UNIFORMS uniforms, which
+# bounds memory; so streams of over 128 uniforms, which numpy only ties, use default_rng.
+_BLOCK_MIN, _BLOCK_UNIFORMS = 32, 4096
 
-    The cumulative rows are built once here. Each path still comes from its
-    own default_rng(seed): one uniform per slot, inverted through the row of
-    the previous state, which is exactly the draw rng.choice(n, p=row) makes.
+
+def _uniform_rows(seeds, k: int):
+    """Yield default_rng(s).random(k).tolist() for each int seed s >= 0, blocks of
+    _BLOCK_MIN seeds or more computed in numpy, as numpy keeps these streams stable."""
+    seeds = [operator.index(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    size = max(1, _BLOCK_UNIFORMS // max(k, 1))
+    for block in (seeds[i:i + size] for i in range(0, len(seeds), size)):
+        yield from (_block_rows(block, k) if len(block) >= _BLOCK_MIN else
+                    (np.random.default_rng(s).random(k).tolist() for s in block))
+
+
+def _hashmix(v, c, mult, n):
+    """SeedSequence's hashmix of the n rows of v from hash constant c; the next c."""
+    cs = np.array([c] + [c := c * mult & _M32 for _ in range(n)], dtype=np.uint32)[:, None]
+    v = (v ^ cs[:-1]) * cs[1:]
+    return v ^ v >> 16, c
+
+
+def _mix(x, y):
+    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=8)
+def _jump_table(k):
+    """uint64 (hi, lo) limbs of M**(d+2) and 1 + M + ... + M**(d+2), d < k: PCG64 seeded
+    with (x, seq) outputs at draw d its state M**(d+2) * x + (1 + ... + M**(d+2)) * (2*seq + 1)."""
+    m, c, rows = _PCG_MULT, 1 + _PCG_MULT, []
+    for _ in range(k):
+        m, c = m * _PCG_MULT % 2**128, (c + m * _PCG_MULT) % 2**128
+        rows.append((m >> 64, c >> 64, m % 2**64, c % 2**64))
+    return np.array(rows, dtype=np.uint64).T.reshape(2, 2, 1, k)
+
+
+def _block_rows(seeds: list[int], k: int) -> list[list[float]]:
+    """SeedSequence's pool mixing in uint32, then PCG64's seeding and draws in uint64 limbs."""
+    nw = max(4, -(-max(seeds).bit_length() // 32))  # numpy pads entropy with 0s
+    words = np.frombuffer(b"".join(s.to_bytes(4 * nw, "little") for s in seeds), "<u4")
+    pool, c = _hashmix(words.reshape(-1, nw).T[:4], 0x43B0D7E5, 0x931E8875, 4)
+    for i, dst in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        mixed, c = _hashmix(pool[i], c, 0x931E8875, 3)
+        pool[dst] = _mix(pool[dst], mixed)
+    for i in range(4, nw):  # seeds of 2**128 and above mix in their extra words
+        mixed, c = _hashmix(words[i::nw], c, 0x931E8875, 4)
+        pool = np.where([s >> 32 * i > 0 for s in seeds], _mix(pool, mixed), pool)
+    st = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0x8B51F9DD, 0x58F38DED, 8)[0].astype(np.uint64)
+    st = (st[0::2] | st[1::2] << 32)[:, :, None]  # x hi, x lo, seq hi, seq lo
+    xh, xl = np.stack([st[0], st[2] << 1 | st[3] >> 63]), np.stack([st[1], st[3] << 1 | 1])
+    ch, cl = _jump_table(k)  # the state is the sum of xh:xl times ch:cl
+    x0, x1, c0, c1 = xl & _M32, xl >> 32, cl & _M32, cl >> 32
+    p01, p10, lo = x0 * c1, x1 * c0, xl * cl
+    mid = (x0 * c0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + xh * cl + xl * ch
+    lo, hi = lo[0] + lo[1], hi[0] + hi[1] + (lo[0] + lo[1] < lo[0])
+    v, rot = hi ^ lo, hi >> 58  # XSL-RR
+    return (((v >> rot | v << (-rot & 63)) >> 11) * (1.0 / 2**53)).tolist()
+
+
+def path_sampler(model: ChannelModel):
+    """Return sample(horizon, seeds), which yields each seed's sample_path.
+
+    The cumulative rows are built once here. A path takes the stream of
+    default_rng(seed) from _uniform_rows: one uniform per slot, inverted
+    through the row of the previous state, as rng.choice(n, p=row) does.
     """
     _check_channel(model)
     first = _cdf(model.initial)
     rows = [_cdf(row) for row in model.transition]
 
-    def sample(horizon: int, seed: int) -> list[int]:
+    def sample(horizon: int, seeds):
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        u = np.random.default_rng(seed).random(horizon + 1).tolist()
-        h = bisect_right(first, u[0])
-        path = [h]
-        for x in u[1:]:
-            h = bisect_right(rows[h], x)
-            path.append(h)
-        return path
+        for u in _uniform_rows(seeds, horizon + 1):
+            path = [bisect_right(first, u[0])]
+            for x in u[1:]:
+                path.append(bisect_right(rows[path[-1]], x))
+            yield path
 
     return sample
 
 
 def sample_path(model: ChannelModel, horizon: int, seed: int) -> list[int]:
     """Draw a state-id path of length horizon + 1 (one id per slot)."""
-    return path_sampler(model)(horizon, seed)
+    return next(path_sampler(model)(horizon, [seed]))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +291,6 @@ class CostModel:
         if self.kind == "linear":
             return cost_linear(bits, state)
         return cost_convex(bits, state, self.slot_duration)
-
-
-def marginal_cost(cost: CostModel, k: int, unit_bits: float, state: ChannelState) -> float:
-    """Extra cost of the k-th equal-sized packet added to a slot (k >= 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return cost.cost(k * unit_bits, state) - cost.cost((k - 1) * unit_bits, state)
 
 
 def averaged_channel(model: ChannelModel) -> ChannelModel:

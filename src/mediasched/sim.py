@@ -14,11 +14,11 @@ discounted, lambda-weighted transmission costs actually paid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 
 import numpy as np
 
-from .channel import ChannelModel, CostModel, averaged_channel, path_sampler
+from .channel import ChannelModel, CostModel, _uniform_rows, averaged_channel, path_sampler
 from .media import MediaTrace
 from .single_packet import _check_inputs
 from .solver import DecomposedPolicy, JointState, SolvedPolicy, _index_for, solve, solve_convex
@@ -86,23 +86,25 @@ def _check_episode_args(channel, alpha, lam, loss_rate):
     _check_inputs(channel, alpha, lam)
 
 
-# Loss uniforms are drawn this many at a time. Generator.random takes one
-# 64-bit output per double, so blocks hand out the stream per-slot draws give.
-_LOSS_BLOCK = 64
+# Loss uniforms come this many at a time (a standard-scenario episode attempts
+# at most 11 packets); Generator.random takes one 64-bit output per double.
+_LOSS_BLOCK = 16
 
 
 class _LossDraws:
-    """The uniforms of default_rng(seed), drawn a block at a time into one
-    block list that grows on demand. Each iteration reads them from the
-    first, so the policies of a monte_carlo episode share one generator."""
+    """The uniforms of default_rng(seed), a block at a time into a list that
+    every iteration reads from the first. A first block handed in comes from
+    _uniform_rows; past it, a generator is seeded and advanced over it."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.blocks: list[list[float]] = []
+    def __init__(self, seed, first=None):
+        self.seed, self.blocks = seed, [] if first is None else [first]
+        self.rng = np.random.default_rng(seed) if first is None else None
 
     def __iter__(self):
         for b in count():
             if b == len(self.blocks):
+                self.rng = self.rng or np.random.Generator(
+                    np.random.PCG64(self.seed).advance(b * _LOSS_BLOCK))
                 self.blocks.append(self.rng.random(_LOSS_BLOCK).tolist())
             yield from self.blocks[b]
 
@@ -138,7 +140,8 @@ def _episode(policy, idx, trace, channel, path, cost, alpha, loss_rate, losses, 
         if log is not None:
             log.append(SlotLog(t, h, attempted, got, slot_cost))
         if t < hz:
-            pending, dmask = idx.step(t, pending, dmask, idx.mask_of(got))
+            got_mask = tx if len(got) == len(attempted) else idx.mask_of(got)
+            pending, dmask = idx.step(t, pending, dmask, got_mask)
 
     # A packet decodes once it and all its ancestors were delivered.
     delivered, anc = idx.mask_of(delivered_slot), trace.ancestor_masks
@@ -187,15 +190,15 @@ def monte_carlo(
         raise ValueError("policy names must be distinct, as the reports are keyed by name")
     idx = _index_for(trace)
     _check_episode_args(channel, alpha, lam, loss_rate)
-    hz = idx.horizon
     prices = [{} for _ in channel.states]
-    sample = path_sampler(channel)
-    # One generator per episode, as sample_path seeds it, so a path depends
-    # only on seed + i and not on how many episodes were drawn before it.
-    # Likewise one loss generator per episode, which every policy reads.
-    for i in range(episodes):
-        path = sample(hz, seed + i)
-        losses = _LossDraws(seed * 1_000_003 + i) if loss_rate > 0.0 else None
+    # Episode i reads the streams of default_rng(seed + i) for its path and
+    # default_rng(seed * 1_000_003 + i) for its losses, which all policies share.
+    loss_seed = seed * 1_000_003
+    paths = path_sampler(channel)(idx.horizon, range(seed, seed + episodes))
+    firsts = (_uniform_rows(range(loss_seed, loss_seed + episodes), _LOSS_BLOCK)
+              if loss_rate > 0.0 else repeat(None))
+    for i, path, first in zip(range(episodes), paths, firsts):
+        losses = _LossDraws(loss_seed + i, first) if loss_rate > 0.0 else None
         for pol in policies:
             gain, total_cost, delivered, _ = _episode(
                 pol, idx, trace, channel, path, cost, alpha, loss_rate, losses, prices)
@@ -286,9 +289,12 @@ class ConstantChannelPolicy:
     name: str = "constant"
 
     def decide(self, state: JointState) -> list[int]:
-        return self.inner.decide(
-            JointState(state.t, state.pending, state.deps, 0)
-        )
+        idx = self.inner.idx  # any channel goes; the inner memo keeps the channel-0 state
+        try:
+            pending, dmask = idx._masks[state]
+        except (KeyError, TypeError):
+            pending, dmask = idx.state_masks(JointState(state.t, state.pending, state.deps, 0), 1)
+        return self.inner.decide(idx.joint_state(state.t, pending, dmask, 0))
 
 
 def baseline_constant_channel(

@@ -206,10 +206,6 @@ class _TraceIndex:
             sched |= 1 << i
         return sched
 
-    def feasible_batch(self, t: int, pending: int, dmask: int, tx: int) -> bool:
-        """tx must be schedulable and closed under undelivered live parents."""
-        return not tx & ~self.schedulable(t, pending, dmask) and self._parents_in(pending, tx)
-
     def _parents_in(self, pending: int, tx: int) -> bool:
         """Every pending parent of a packet in tx is itself in tx."""
         return not any(self.parent_mask[i] & pending & ~tx for i in _bits(tx))
@@ -329,7 +325,7 @@ def advance_state(
     idx = _index_for(trace)
     pending, dmask = idx.state_masks(state, math.inf)  # no channel model to bound it by
     tx = idx.mask_of(transmitted)
-    if not idx.feasible_batch(state.t, pending, dmask, tx):
+    if tx & ~idx.schedulable(state.t, pending, dmask) or not idx._parents_in(pending, tx):
         raise ValueError("transmitted set is not a legal emission for this state")
     return idx.joint_state(state.t + 1, *idx.step(state.t, pending, dmask, tx), next_channel)
 

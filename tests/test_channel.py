@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import cycle, islice
 
 import networkx as nx
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mediasched
+from mediasched import channel as channel_mod
 
 from mediasched import (
     ChannelFormatError,
@@ -29,7 +31,6 @@ from mediasched import (
     dump_channel,
     enumerate_single_schedules,
     load_channel,
-    marginal_cost,
     monte_carlo,
     run_episode,
     sample_path,
@@ -235,6 +236,63 @@ def test_sample_path_draws_what_rng_choice_draws(model, horizon, seeds):
         assert sample_path(model, horizon, seed) == choice_walk(model, horizon, seed)
 
 
+def _stream_seeds():
+    """Seeds across SeedSequence's word boundaries, random 96-bit ones, and the
+    path and loss seeds of the benchmark's monte_carlo calls (mc_seed in
+    bench/workloads.py: seed * 1_000_000_007 + call * episodes)."""
+    rng = np.random.default_rng(31)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**128 - 1, 2**128, 2**160 + 7, 2**200]
+    wide = [int(a) << 48 | int(b) for a, b in rng.integers(0, 2**48, size=(40, 2))]
+    bench = [m + i for bench_seed in (1, 7, 10) for call in (0, 3)
+             for m in (bench_seed * 1_000_000_007 + call * 500,) for i in (0, 499)]
+    return edges + wide + bench + [m * 1_000_003 + i for m in bench for i in (0, 1)]
+
+
+@pytest.mark.parametrize("k", [1, 16, 193])
+def test_block_rows_equal_default_rng(k):
+    seeds = _stream_seeds()
+    want = {s: np.random.default_rng(s).random(k).tolist() for s in seeds}
+    for n in (1, channel_mod._BLOCK_MIN - 1, channel_mod._BLOCK_MIN, 500):
+        block = list(islice(cycle(seeds), n))
+        expected = [want[s] for s in block]
+        # the numpy path on every block size, and the dispatch on either side of the crossover
+        assert channel_mod._block_rows(block, k) == expected
+        assert list(channel_mod._uniform_rows(block, k)) == expected
+    assert all(channel_mod._block_rows([s], k) == [want[s]] for s in seeds[:10])
+
+
+def test_block_paths_equal_the_single_seed_paths():
+    model = ChannelModel(
+        states=tuple(ChannelState(id=i, gain=1.0, rate=1.0, loss_prob=0.0) for i in range(3)),
+        transition=np.array([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.0, 0.3, 0.7]]),
+        initial=np.array([0.3, 0.4, 0.3]),
+    )
+    seeds = range(2**40, 2**40 + channel_mod._BLOCK_MIN + 5)
+    for horizon in (0, 12, 100, 192):
+        paths = list(channel_mod.path_sampler(model)(horizon, seeds))
+        assert paths == [choice_walk(model, horizon, s) for s in seeds]
+
+
+def test_stream_seeds_are_refused_as_default_rng_refuses_them():
+    model = ChannelModel(
+        states=(ChannelState(id=0, gain=1.0, rate=1.0, loss_prob=0.0),),
+        transition=np.array([[1.0]]),
+        initial=np.array([1.0]),
+    )
+    for n in (1, channel_mod._BLOCK_MIN):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            list(channel_mod._uniform_rows([5] * (n - 1) + [-1], 3))
+        with pytest.raises(TypeError):
+            list(channel_mod._uniform_rows([5] * (n - 1) + [1.5], 3))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sample_path(model, 3, seed=-1)
+    with pytest.raises(TypeError):
+        sample_path(model, 3, seed=1.5)
+    # numpy integers are seeds too
+    assert list(channel_mod._uniform_rows([np.int64(3)] * channel_mod._BLOCK_MIN, 2))[0] == (
+        np.random.default_rng(3).random(2).tolist())
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(channels(), st.data())
 def test_generated_channels_round_trip(shape, data):
@@ -296,6 +354,7 @@ def test_cost_model_dispatch_and_validation():
 
 
 def test_marginal_costs_telescope():
+    # The k-th packet's marginal cost is cost(k units) - cost(k - 1 units).
     rng = np.random.default_rng(17)
     for _ in range(20):
         st = ChannelState(
@@ -307,18 +366,20 @@ def test_marginal_costs_telescope():
         cost = CostModel(kind=rng.choice(["linear", "convex"]), slot_duration=2.0)
         unit = float(rng.uniform(0.5, 2.0))
         m = int(rng.integers(1, 6))
-        total = sum(marginal_cost(cost, k, unit, st) for k in range(1, m + 1))
+        total = sum(cost.cost(k * unit, st) - cost.cost((k - 1) * unit, st)
+                    for k in range(1, m + 1))
         assert total == pytest.approx(cost.cost(m * unit, st), rel=1e-12, abs=1e-12)
-    with pytest.raises(ValueError):
-        marginal_cost(CostModel(kind="linear"), 0, 1.0, st)
+        assert cost.cost(0.0, st) == 0.0
+        with pytest.raises(ValueError):
+            cost.cost(-unit, st)
 
 
 def test_convex_marginals_increase_linear_stay_flat():
     st = ChannelState(id=0, gain=1.0, rate=1.0, loss_prob=0.0)
     convex = CostModel(kind="convex", slot_duration=2.0)
     linear = CostModel(kind="linear")
-    cm = [marginal_cost(convex, k, 1.0, st) for k in range(1, 5)]
-    lm = [marginal_cost(linear, k, 1.0, st) for k in range(1, 5)]
+    cm = [convex.cost(k, st) - convex.cost(k - 1, st) for k in range(1, 5)]
+    lm = [linear.cost(k, st) - linear.cost(k - 1, st) for k in range(1, 5)]
     assert all(a < b for a, b in zip(cm, cm[1:]))
     assert all(a == lm[0] for a in lm)
 

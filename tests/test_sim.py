@@ -38,7 +38,7 @@ from mediasched import (
     synth_trace,
     volatile_scenario,
 )
-from mediasched import sim, solver
+from mediasched import channel as channel_mod, sim, solver
 from conftest import random_channel, random_trace, rel_close
 
 
@@ -384,18 +384,63 @@ def test_loss_draws_come_in_blocks_from_the_per_slot_stream():
         assert len(draws.blocks) == -(-len(want) // sim._LOSS_BLOCK)
 
 
+def test_block_drawn_loss_draws_continue_the_per_slot_stream():
+    # monte_carlo hands each episode the first block of its loss stream, computed
+    # with the other episodes'; reading past it seeds a generator advanced over it.
+    rng = np.random.default_rng(19)
+    seeds = [2**50 + 7 * i for i in range(channel_mod._BLOCK_MIN)]
+    firsts = list(channel_mod._uniform_rows(seeds, sim._LOSS_BLOCK))
+    for seed, first in zip(seeds, firsts):
+        per_slot = np.random.default_rng(seed)
+        want = [u for k in rng.integers(0, 9, size=20)
+                for u in per_slot.random(int(k)).tolist()]
+        assert len(want) > 2 * sim._LOSS_BLOCK
+        draws = sim._LossDraws(seed, first)
+        assert draws.rng is None  # no generator until a read passes the first block
+        assert list(islice(draws, len(want))) == want
+        assert list(islice(draws, len(want))) == want
+        assert len(draws.blocks) == -(-len(want) // sim._LOSS_BLOCK)
+
+
+def test_lossless_slots_build_one_mask_each(monkeypatch):
+    # The delivered mask of a slot without a loss is the attempted one.
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pol = solve(trace, channel, cost, alpha, lam)
+    idx = solver._index_for(trace)
+    calls = []
+    mask_of = idx.mask_of
+    monkeypatch.setattr(idx, "mask_of", lambda ids: calls.append(1) or mask_of(ids))
+    monte_carlo([pol], trace, channel, cost, alpha, lam, episodes=5)
+    # one mask of the attempted ids per slot, one of the delivered ids per episode
+    assert len(calls) == 5 * (trace.horizon + 2)
+
+
+def test_constant_baseline_decides_through_the_inner_memo():
+    trace, channel, cost, alpha, lam = standard_scenario()
+    constant = baseline_constant_channel(trace, channel, cost, alpha, lam)
+    idx = solver._index_for(trace)
+    want = constant.inner.decide(JointState(0, trace.live(0), (), 0))
+    for h in range(channel.n_states):
+        assert constant.decide(idx.joint_state(0, idx.live_mask[0], 0, h)) == want
+    # every observed channel maps to the one interned channel-0 state
+    assert list(constant.inner._decided.values()) == [tuple(want)]
+
+
 def test_monte_carlo_episodes_match_logged_episodes():
     # monte_carlo keeps no slot log; each of its episodes must still be
     # run_episode on the same path and loss seed, number for number.
     scenario = standard_scenario()
     gop = (synth_trace(24, 4, 2, (9.0, 6.0, 4.0, 3.0), seed=41),) + scenario[1:]
     crossed = 0
+    # Below _BLOCK_MIN episodes every stream is drawn from its own generator;
+    # from _BLOCK_MIN on, the first uniforms of all streams are computed in blocks.
+    block_min = channel_mod._BLOCK_MIN
     for (trace, channel, cost, alpha, lam), oracle in ((scenario, True), (gop, False)):
         pols = _roster(trace, channel, cost, alpha, lam)
         if oracle:
             pols.append(solve_exhaustive(trace, channel, cost, alpha, lam))
-        episodes, s = (12, 5) if oracle else (3, 8)
-        for loss in (0.0, 0.1, 0.3):
+        runs = ((12, 5), (block_min + 4, 6)) if oracle else ((3, 8), (block_min, 9))
+        for (episodes, s), loss in product(runs, (0.0, 0.1, 0.3)):
             out = monte_carlo(pols, trace, channel, cost, alpha, lam, episodes,
                               loss_rate=loss, seed=s)
             for pol, i in product(pols, range(episodes)):
@@ -408,8 +453,8 @@ def test_monte_carlo_episodes_match_logged_episodes():
                 assert rep.costs[i] == res.cost
                 assert rep.delivered_counts[i] == res.delivered_count
                 attempts = sum(len(slot.attempted) for slot in res.log)
-                crossed += loss > 0 and attempts > sim._LOSS_BLOCK
-    assert crossed  # some episode drew a second block of loss uniforms
+                crossed += loss > 0 and attempts > sim._LOSS_BLOCK and episodes >= block_min
+    assert crossed  # some block-drawn episode read past its first block of loss uniforms
 
 
 def test_interned_states_keep_every_refusal_and_decision(monkeypatch):

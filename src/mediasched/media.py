@@ -82,16 +82,6 @@ class MediaTrace:
         return {p.id: p for p in self.packets}
 
     @cached_property
-    def children(self) -> dict[int, frozenset[int]]:
-        """Direct dependents per packet id."""
-        kids: dict[int, set[int]] = {p.id: set() for p in self.packets}
-        for p in self.packets:
-            for parent in p.parents:
-                if parent in kids:
-                    kids[parent].add(p.id)
-        return {i: frozenset(s) for i, s in kids.items()}
-
-    @cached_property
     def _pos(self) -> dict[int, int]:
         """Position of each id; a repeated id names its last packet, as by_id does."""
         return {p.id: i for i, p in enumerate(self.packets)}

@@ -14,14 +14,15 @@ discounted, lambda-weighted transmission costs actually paid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .channel import ChannelModel, CostModel, _uniform_rows, averaged_channel, path_sampler
 from .media import MediaTrace
 from .single_packet import _check_inputs
-from .solver import DecomposedPolicy, JointState, SolvedPolicy, _index_for, solve, solve_convex
+from .solver import (
+    DecomposedPolicy, JointState, SolvedPolicy, _Decider, _index_for, solve, solve_convex)
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ def run_episode(
     _check_episode_args(channel, alpha, lam, loss_rate)
     log: list[SlotLog] = []
     losses = _LossDraws(seed) if loss_rate > 0.0 else None
-    prices = [{} for _ in channel.states]
+    powers, prices = [alpha**t for t in range(idx.horizon + 1)], [{} for _ in channel.states]
     gain, total_cost, delivered, decodable = _episode(
-        policy, idx, trace, channel, channel_path, cost, alpha, loss_rate, losses, prices, log)
+        policy, idx, trace, channel, channel_path, cost, powers, loss_rate, losses, prices, {}, log)
     return EpisodeResult(
         utility=gain - lam * total_cost,
         distortion_gain=gain,
@@ -91,62 +92,74 @@ def _check_episode_args(channel, alpha, lam, loss_rate):
 _LOSS_BLOCK = 16
 
 
-class _LossDraws:
-    """The uniforms of default_rng(seed), a block at a time into a list that
-    every iteration reads from the first. A first block handed in comes from
-    _uniform_rows; past it, a generator is seeded and advanced over it."""
+class _LossDraws(list):
+    """The uniforms of default_rng(seed) in one list, which every episode
+    reading it indexes from 0 and which grows a block at a time. A first
+    block handed in comes from _uniform_rows; past it, a generator is
+    seeded and advanced over it."""
 
     def __init__(self, seed, first=None):
-        self.seed, self.blocks = seed, [] if first is None else [first]
+        super().__init__(first or ())
+        self.seed = seed
         self.rng = np.random.default_rng(seed) if first is None else None
 
-    def __iter__(self):
-        for b in count():
-            if b == len(self.blocks):
-                self.rng = self.rng or np.random.Generator(
-                    np.random.PCG64(self.seed).advance(b * _LOSS_BLOCK))
-                self.blocks.append(self.rng.random(_LOSS_BLOCK).tolist())
-            yield from self.blocks[b]
+    def extend_to(self, k: int) -> None:
+        while len(self) < k:
+            self.rng = self.rng or np.random.Generator(np.random.PCG64(self.seed).advance(len(self)))
+            self.extend(self.rng.random(_LOSS_BLOCK).tolist())
 
 
-def _episode(policy, idx, trace, channel, path, cost, alpha, loss_rate, losses, prices, log=None):
+def _episode(policy, idx, trace, channel, path, cost, powers, loss_rate, losses, prices, slots,
+             log=None):
     """One checked episode: its gain, discounted cost, delivery slot per
-    delivered id and decodable ids. losses is the episode's _LossDraws, None
-    without loss; prices[h] keeps batch_cost per mask in channel state h for
-    the whole calling run. A SlotLog per slot goes to log when one is given."""
-    hz = idx.horizon
-    draws = iter(losses) if losses is not None else None
-
-    # The loop carries masks; policy.decide gets the index's interned JointState.
+    delivered id and decodable ids. powers[t] is alpha**t; losses is the
+    episode's _LossDraws, None without loss. prices[h] keeps batch_cost per
+    mask in channel state h, and slots is the policy's memo, both for the
+    whole calling run. A SlotLog per slot goes to log when one is given."""
     pending, dmask = idx.live_mask[0], 0
-    delivered_slot: dict[int, int] = {}
-    total_cost = 0.0
-    for t in range(hz + 1):
-        h = path[t]
-        attempted = tuple(policy.decide(idx.joint_state(t, pending, dmask, h)))
-        tx = idx.mask_of(attempted)
-        if tx & ~pending:
-            raise ValueError(f"{policy.name} attempted packets outside pending")
-        slot_cost = prices[h].get(tx)
-        if slot_cost is None:
-            slot_cost = prices[h][tx] = idx.batch_cost(tx, channel.states[h], cost)
-        total_cost += alpha**t * slot_cost
+    delivered, delivered_slot = 0, {}
+    total_cost, read = 0.0, 0
+    for t, h in enumerate(path[:idx.horizon + 1]):
+        # slots: (t, pending, record, h) -> the interned state, the emission
+        # decide gave in it, its mask and cost, and the masks of slot t + 1
+        # when nothing is lost. decide still sees every slot; an answer other
+        # than the one remembered is checked and priced anew.
+        key = (t, pending, dmask, h)
+        slot = slots.get(key)
+        state = idx.joint_state(*key) if slot is None else slot[0]
+        attempted = tuple(policy.decide(state))
+        if slot is None or slot[1] != attempted:
+            tx = idx.mask_of(attempted)
+            if tx & ~pending:
+                raise ValueError(f"{policy.name} attempted packets outside pending")
+            slot_cost = prices[h].get(tx)
+            if slot_cost is None:
+                slot_cost = prices[h][tx] = idx.batch_cost(tx, channel.states[h], cost)
+            slot = slots[key] = state, attempted, tx, slot_cost, idx.step(t, pending, dmask, tx)
+        _, _, tx, slot_cost, nxt = slot
+        total_cost += powers[t] * slot_cost
         got = attempted
-        if draws is not None and attempted:
+        if losses is not None and attempted:
             # One uniform per attempted packet, in emission order.
-            got = tuple(pid for pid, u in zip(attempted, draws) if u >= loss_rate)
+            end = read + len(attempted)
+            if end > len(losses):
+                losses.extend_to(end)
+            if min(losses[read:end]) < loss_rate:
+                got = tuple(pid for pid, u in zip(attempted, losses[read:end]) if u >= loss_rate)
+                tx = idx.mask_of(got)
+                nxt = idx.step(t, pending, dmask, tx)
+            read = end
+        delivered |= tx
         for pid in got:
             delivered_slot[pid] = t
         if log is not None:
             log.append(SlotLog(t, h, attempted, got, slot_cost))
-        if t < hz:
-            got_mask = tx if len(got) == len(attempted) else idx.mask_of(got)
-            pending, dmask = idx.step(t, pending, dmask, got_mask)
+        pending, dmask = nxt
 
     # A packet decodes once it and all its ancestors were delivered.
-    delivered, anc = idx.mask_of(delivered_slot), trace.ancestor_masks
+    anc = trace.ancestor_masks
     decodable = {pid for pid in delivered_slot if not anc[idx.pos[pid]] & ~delivered}
-    gain = sum(alpha ** delivered_slot[pid] * trace.by_id[pid].distortion for pid in decodable)
+    gain = sum(powers[delivered_slot[pid]] * trace.by_id[pid].distortion for pid in decodable)
     return gain, total_cost, delivered_slot, decodable
 
 
@@ -190,18 +203,19 @@ def monte_carlo(
         raise ValueError("policy names must be distinct, as the reports are keyed by name")
     idx = _index_for(trace)
     _check_episode_args(channel, alpha, lam, loss_rate)
-    prices = [{} for _ in channel.states]
+    powers, prices = [alpha**t for t in range(idx.horizon + 1)], [{} for _ in channel.states]
     # Episode i reads the streams of default_rng(seed + i) for its path and
     # default_rng(seed * 1_000_003 + i) for its losses, which all policies share.
     loss_seed = seed * 1_000_003
     paths = path_sampler(channel)(idx.horizon, range(seed, seed + episodes))
     firsts = (_uniform_rows(range(loss_seed, loss_seed + episodes), _LOSS_BLOCK)
               if loss_rate > 0.0 else repeat(None))
+    memos = [{} for _ in policies]  # each policy's slots, kept for the call
     for i, path, first in zip(range(episodes), paths, firsts):
         losses = _LossDraws(loss_seed + i, first) if loss_rate > 0.0 else None
-        for pol in policies:
+        for pol, slots in zip(policies, memos):
             gain, total_cost, delivered, _ = _episode(
-                pol, idx, trace, channel, path, cost, alpha, loss_rate, losses, prices)
+                pol, idx, trace, channel, path, cost, powers, loss_rate, losses, prices, slots)
             u, g, c, d = acc[pol.name]
             u.append(gain - lam * total_cost)
             g.append(gain)
@@ -234,7 +248,7 @@ def baseline_myopic(
 
 
 @dataclass(eq=False)
-class DistortionGreedyPolicy:
+class DistortionGreedyPolicy(_Decider):
     """Sort currently decodable pending packets by weight, send while profitable.
 
     Ignores deadlines, channel dynamics and same-slot dependency chains; a
@@ -253,16 +267,15 @@ class DistortionGreedyPolicy:
         _check_inputs(self.channel, 0.0, self.lam)  # greedy has no discount
         self.idx = _index_for(self.trace)
 
-    def decide(self, state: JointState) -> list[int]:
+    def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
         idx = self.idx
-        pending, dmask = idx.state_masks(state, self.channel.n_states)
-        sched = idx.schedulable(state.t, pending, dmask)
+        sched = idx.schedulable(t, pending, dmask)
         cands = [
             i for i in range(idx.n)
             if sched >> i & 1 and not idx.parent_mask[i] & pending
         ]
         cands.sort(key=lambda i: (-idx.q[i], idx.ids[i]))
-        st, cost = self.channel.states[state.channel], self.cost
+        st, cost = self.channel.states[h], self.cost
         out, sent = [], 0
         for i in cands:
             base = sent if cost.kind == "convex" else 0
@@ -272,7 +285,7 @@ class DistortionGreedyPolicy:
                 sent |= 1 << i
             else:
                 break
-        return out
+        return tuple(out)
 
 
 def baseline_distortion_greedy(

@@ -336,16 +336,10 @@ def advance_state(
 
 
 @dataclass(eq=False)
-class _Policy:
-    """Planning inputs, initial values and the dump header of every engine."""
+class _Decider:
+    """decide over a mask-level _act(t, pending, dmask, h), for a policy that
+    holds its trace index as idx and its channel model as channel."""
 
-    trace: MediaTrace
-    channel: ChannelModel
-    cost: CostModel
-    alpha: float
-    lam: float
-
-    name = "proposed"  # baselines rename their instance
     # id of a state the index interned -> its emission. The index keeps those
     # states alive, so no id here is reused while the policy holds its index.
     _decided: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
@@ -362,6 +356,19 @@ class _Policy:
         if idx._states.get(key) is state:  # never a caller's copy, whose id may be reused
             self._decided[id(state)] = emission
         return list(emission)
+
+
+@dataclass(eq=False)
+class _Policy(_Decider):
+    """Planning inputs, initial values and the dump header of every engine."""
+
+    trace: MediaTrace
+    channel: ChannelModel
+    cost: CostModel
+    alpha: float
+    lam: float
+
+    name = "proposed"  # baselines rename their instance
 
     def initial_values(self) -> np.ndarray:
         """Expected total value per starting channel state."""

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from functools import partial
 from itertools import cycle, islice
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -22,6 +23,8 @@ from mediasched import (
     ChannelState,
     ChannelValidationError,
     CostModel,
+    MediaTrace,
+    Packet,
     averaged_channel,
     baseline_constant_channel,
     baseline_distortion_greedy,
@@ -288,6 +291,13 @@ def test_stream_seeds_are_refused_as_default_rng_refuses_them():
         sample_path(model, 3, seed=-1)
     with pytest.raises(TypeError):
         sample_path(model, 3, seed=1.5)
+    # run_episode seeds its loss stream up front, even for a policy that never sends
+    trace = MediaTrace((Packet(id=0, size_bits=1.0, distortion=1.0, arrival=0, deadline=1),))
+    idle = SimpleNamespace(name="idle", decide=lambda state: [])
+    for seed, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            run_episode(idle, trace, model, [0, 0], CostModel(kind="linear"), 0.9, 1.0,
+                        loss_rate=0.1, seed=seed)
     # numpy integers are seeds too
     assert list(channel_mod._uniform_rows([np.int64(3)] * channel_mod._BLOCK_MIN, 2))[0] == (
         np.random.default_rng(3).random(2).tolist())

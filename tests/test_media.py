@@ -37,8 +37,8 @@ def test_basic_trace_properties():
     )
     assert trace.horizon == 4
     assert trace.by_id[7].parents == {3}
-    assert trace.children[3] == {7}
-    assert trace.children[7] == frozenset()
+    # packet 7 (position 1) depends on packet 3 (position 0), and 3 on nothing
+    assert trace.parent_masks == [0, 0b01]
     assert trace.has_dependencies
     assert trace.live(1) == {3, 7}
     assert trace.live(3) == {7}

@@ -368,20 +368,33 @@ def _roster(trace, channel, cost, alpha, lam):
     ]
 
 
+def _read_per_slot(draws, sizes):
+    """The uniforms an episode reads from draws, k per slot, as _episode indexes them."""
+    out, read = [], 0
+    for k in sizes:
+        if read + k > len(draws):
+            draws.extend_to(read + k)
+        out += draws[read:read + k]
+        read += k
+    return out
+
+
 def test_loss_draws_come_in_blocks_from_the_per_slot_stream():
     # Generator.random takes one 64-bit output per double, so one stream cut
     # into blocks equals the same stream cut into per-slot batches.
     rng = np.random.default_rng(17)
     for seed in range(20):
         per_slot = np.random.default_rng(seed)
-        want = [u for k in rng.integers(0, 9, size=40)
-                for u in per_slot.random(int(k)).tolist()]
+        sizes = [int(k) for k in rng.integers(0, 9, size=40)]
+        want = [u for k in sizes for u in per_slot.random(k).tolist()]
         assert len(want) > sim._LOSS_BLOCK
         draws = sim._LossDraws(seed)
-        # Every reader starts at the first uniform; blocks are drawn once.
-        assert list(islice(draws, len(want))) == want
-        assert list(islice(draws, len(want))) == want
-        assert len(draws.blocks) == -(-len(want) // sim._LOSS_BLOCK)
+        # Every reader starts at the first uniform; the list grows whole
+        # blocks, each drawn once.
+        assert _read_per_slot(draws, sizes) == want
+        assert _read_per_slot(draws, sizes) == want
+        assert len(draws) == -(-len(want) // sim._LOSS_BLOCK) * sim._LOSS_BLOCK
+        assert draws == np.random.default_rng(seed).random(len(draws)).tolist()
 
 
 def test_block_drawn_loss_draws_continue_the_per_slot_stream():
@@ -392,27 +405,39 @@ def test_block_drawn_loss_draws_continue_the_per_slot_stream():
     firsts = list(channel_mod._uniform_rows(seeds, sim._LOSS_BLOCK))
     for seed, first in zip(seeds, firsts):
         per_slot = np.random.default_rng(seed)
-        want = [u for k in rng.integers(0, 9, size=20)
-                for u in per_slot.random(int(k)).tolist()]
+        sizes = [int(k) for k in rng.integers(0, 9, size=20)]
+        want = [u for k in sizes for u in per_slot.random(k).tolist()]
         assert len(want) > 2 * sim._LOSS_BLOCK
         draws = sim._LossDraws(seed, first)
-        assert draws.rng is None  # no generator until a read passes the first block
-        assert list(islice(draws, len(want))) == want
-        assert list(islice(draws, len(want))) == want
-        assert len(draws.blocks) == -(-len(want) // sim._LOSS_BLOCK)
+        assert draws == first and draws.rng is None  # no generator until a read passes it
+        assert _read_per_slot(draws, sizes) == want
+        assert _read_per_slot(draws, sizes) == want
+        assert len(draws) == -(-len(want) // sim._LOSS_BLOCK) * sim._LOSS_BLOCK
 
 
 def test_lossless_slots_build_one_mask_each(monkeypatch):
-    # The delivered mask of a slot without a loss is the attempted one.
+    # A slot's attempted mask is built once per distinct state it is decided
+    # in; only a slot with a loss builds a mask of its delivered ids.
     trace, channel, cost, alpha, lam = standard_scenario()
-    pol = solve(trace, channel, cost, alpha, lam)
+    rec = Recorder(solve(trace, channel, cost, alpha, lam))
     idx = solver._index_for(trace)
-    calls = []
-    mask_of = idx.mask_of
-    monkeypatch.setattr(idx, "mask_of", lambda ids: calls.append(1) or mask_of(ids))
-    monte_carlo([pol], trace, channel, cost, alpha, lam, episodes=5)
-    # one mask of the attempted ids per slot, one of the delivered ids per episode
-    assert len(calls) == 5 * (trace.horizon + 2)
+    for loss, episodes in ((0.0, 5), (0.2, 40)):
+        lossy = sum(slot.delivered != slot.attempted
+                    for i in range(episodes)
+                    for slot in run_episode(rec, trace, channel,
+                                            sample_path(channel, trace.horizon, 7 + i),
+                                            cost, alpha, lam, loss_rate=loss,
+                                            seed=7 * 1_000_003 + i).log)
+        assert lossy > 0 if loss else lossy == 0
+        rec.states.clear()
+        calls = []
+        mask_of = idx.mask_of
+        monkeypatch.setattr(idx, "mask_of", lambda ids: calls.append(1) or mask_of(ids))
+        monte_carlo([rec], trace, channel, cost, alpha, lam, episodes, loss_rate=loss, seed=7)
+        monkeypatch.undo()
+        distinct = len({id(state) for state in rec.states})
+        assert len(rec.states) == episodes * (trace.horizon + 1) > distinct
+        assert len(calls) == distinct + lossy
 
 
 def test_constant_baseline_decides_through_the_inner_memo():
@@ -455,6 +480,74 @@ def test_monte_carlo_episodes_match_logged_episodes():
                 attempts = sum(len(slot.attempted) for slot in res.log)
                 crossed += loss > 0 and attempts > sim._LOSS_BLOCK and episodes >= block_min
     assert crossed  # some block-drawn episode read past its first block of loss uniforms
+
+
+class Revisits:
+    """Forwards decide to a policy, but answers by how often it saw the state:
+    on every other visit, revisit(state, answer) in place of the answer."""
+
+    def __init__(self, inner, revisit):
+        self.inner, self.revisit = inner, revisit
+        self.name = inner.name
+        self.seen = {}
+        self.answers = []
+
+    def decide(self, state):
+        n = self.seen[id(state)] = self.seen.get(id(state), 0) + 1
+        out = self.inner.decide(state)
+        if n % 2 == 0:
+            out = self.revisit(state, out)
+        self.answers.append((state, tuple(out)))
+        return out
+
+
+def test_a_new_answer_on_a_revisit_is_honoured():
+    # monte_carlo's slot memo serves a state only while decide repeats itself;
+    # run_episode keeps a memo for one episode, where no state comes back.
+    trace, channel, cost, alpha, lam = standard_scenario()
+
+    def fewer(state, out):
+        return out[:-1] if out else sorted(state.pending)[:1]
+
+    for loss in (0.0, 0.3):
+        pol = solve(trace, channel, cost, alpha, lam)
+        a, b = Revisits(pol, fewer), Revisits(pol, fewer)
+        out = monte_carlo([a], trace, channel, cost, alpha, lam, 30, loss_rate=loss, seed=4)
+        logged = []
+        for i in range(30):
+            res = run_episode(b, trace, channel, sample_path(channel, trace.horizon, 4 + i),
+                              cost, alpha, lam, loss_rate=loss, seed=4 * 1_000_003 + i)
+            assert out[a.name].utilities[i] == res.utility
+            assert out[a.name].costs[i] == res.cost
+            assert out[a.name].delivered_counts[i] == res.delivered_count
+            logged += [slot.attempted for slot in res.log]
+        assert a.answers == b.answers
+        assert [answer for _, answer in b.answers] == logged
+        # a changed answer on a revisit to the same interned state
+        firsts = {}
+        changed = sum(firsts.setdefault(id(s), ans) != ans for s, ans in a.answers)
+        assert changed > 50
+
+
+@pytest.mark.parametrize("revisit, match", [
+    pytest.param(lambda trace: lambda state, out: sorted(set(trace.by_id) - state.pending)[:1]
+                 or out, "outside pending", id="not-pending"),
+    pytest.param(lambda trace: lambda state, out: [max(trace.by_id) + 1], "unknown packet id",
+                 id="unknown-id"),
+])
+def test_a_bad_answer_on_a_revisit_is_refused(revisit, match):
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pol = solve(trace, channel, cost, alpha, lam)
+    a, b = Revisits(pol, revisit(trace)), Revisits(pol, revisit(trace))
+    with pytest.raises(ValueError, match=match):
+        monte_carlo([a], trace, channel, cost, alpha, lam, 20, loss_rate=0.1, seed=6)
+    with pytest.raises(ValueError, match=match):
+        for i in range(20):
+            run_episode(b, trace, channel, sample_path(channel, trace.horizon, 6 + i),
+                        cost, alpha, lam, loss_rate=0.1, seed=6 * 1_000_003 + i)
+    # both refused the same answer, the first bad one on a revisit
+    assert a.answers == b.answers
+    assert a.seen[id(a.answers[-1][0])] == 2
 
 
 def test_interned_states_keep_every_refusal_and_decision(monkeypatch):
@@ -724,7 +817,7 @@ def test_greedy_candidates_match_their_definition():
             live = sorted(trace.live(t))
             record = sorted(
                 p.id for p in trace.packets
-                if p.deadline < t and any(c in live for c in trace.children[p.id])
+                if p.deadline < t and any(p.id in trace.by_id[c].parents for c in live)
             )
             for bits in product((False, True), repeat=len(live)):
                 pending = frozenset(pid for pid, b in zip(live, bits) if b)

@@ -425,15 +425,14 @@ def test_lossless_slots_build_one_mask_each(monkeypatch):
         lossy = sum(slot.delivered != slot.attempted
                     for i in range(episodes)
                     for slot in run_episode(rec, trace, channel,
-                                            sample_path(channel, trace.horizon, 7 + i),
-                                            cost, alpha, lam, loss_rate=loss,
-                                            seed=7 * 1_000_003 + i).log)
+                                            sample_path(channel, trace.horizon, i),
+                                            cost, alpha, lam, loss_rate=loss, seed=i).log)
         assert lossy > 0 if loss else lossy == 0
         rec.states.clear()
         calls = []
         mask_of = idx.mask_of
         monkeypatch.setattr(idx, "mask_of", lambda ids: calls.append(1) or mask_of(ids))
-        monte_carlo([rec], trace, channel, cost, alpha, lam, episodes, loss_rate=loss, seed=7)
+        monte_carlo([rec], trace, channel, cost, alpha, lam, episodes, loss_rate=loss)
         monkeypatch.undo()
         distinct = len({id(state) for state in rec.states})
         assert len(rec.states) == episodes * (trace.horizon + 1) > distinct

@@ -41,7 +41,7 @@ class ExhaustiveSolution(_Policy):
     idx: _TraceIndex
     # values[t]: (pending mask, record mask) -> ndarray over channel states
     values: list[dict]
-    # actions[t]: (pending mask, record mask, h) -> transmit mask
+    # actions[t]: (pending mask, record mask) -> transmit mask per channel state
     actions: list[dict]
     states_enumerated: list[int]
     actions_evaluated: list[int]
@@ -50,7 +50,7 @@ class ExhaustiveSolution(_Policy):
     mode = "exhaustive"
 
     def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
-        tx = self.actions[t][(pending, dmask, h)]
+        tx = self.actions[t][(pending, dmask)][h]
         return tuple(self.idx.ids[i] for i in self.idx.topo if tx >> i & 1)
 
     def state_value(self, state: JointState) -> float:
@@ -58,19 +58,15 @@ class ExhaustiveSolution(_Policy):
         return float(self.values[state.t][(pending, dmask)][state.channel])
 
     def _dump_tables(self) -> dict:
-        label = self.idx.label
         return {
             "slots": [
                 {
                     "t": t,
                     "states_enumerated": self.states_enumerated[t],
                     "actions_evaluated": self.actions_evaluated[t],
-                    "values": {
-                        head + str(h): float(vec[h])
-                        for (bmask, dmask), vec in self.values[t].items()
-                        for head in (label(t, bmask, dmask),)
-                        for h in range(self.channel.n_states)
-                    },
+                    "values": self.idx.dump_rows(
+                        t, ((pair, vec.tolist()) for pair, vec in self.values[t].items())
+                    ),
                 }
                 for t in range(self.idx.horizon + 1)
             ]
@@ -138,8 +134,7 @@ def solve_exhaustive(
                             best[h] = cand
                             best_tx[h] = tx
                 values[t][(pending, dmask)] = best
-                for h in range(n_h):
-                    actions[t][(pending, dmask, h)] = best_tx[h]
+                actions[t][(pending, dmask)] = best_tx
                 actions_evaluated[t] += n_batches * n_h
     return ExhaustiveSolution(
         trace=trace,

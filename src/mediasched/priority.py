@@ -248,16 +248,6 @@ def disconnection_degree(pg: PriorityGraph) -> int:
     return n * (n - 1) // 2 - sum(mask.bit_count() for mask in close(pred))
 
 
-def tree_node_sets(nodes, pred: dict[int, frozenset[int]]) -> set[frozenset[int]]:
-    """Distinct pending sets obtained by repeatedly removing current roots.
-
-    pred maps each node to the nodes ranked above it; only predecessors
-    inside the current set block a node from being a root.
-    """
-    frame, masks = _masks(nodes, ((a, b) for b, above in pred.items() for a in above))
-    return {_ids(frame, m) for m in peel((1 << len(frame)) - 1, masks)}
-
-
 def build_state_tree(pg: PriorityGraph) -> StateTree:
     """Enumerate the pending sets reachable by peeling roots off pg.
 

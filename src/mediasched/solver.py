@@ -18,11 +18,12 @@ Two engines, each with its own policy class:
   reward, minus the slot cost of its size, plus the post-decision value it
   leads to. Picking roots one at a time by marginal gain is not enough: a
   cheap parent can be worth sending only for the child it unlocks. The
-  candidate emissions of a (pending set, record) pair are computed once and
-  shared by every channel state; the upper sets behind them are walked once
-  per distinct schedulable set in a solve, and dropped when it returns. Slot
-  costs come from a per-solve table indexed by (channel state, price key),
-  where the walk names each emission's sizes by a small key, priced once.
+  candidate emissions of a (pending set, record) pair are computed once, and
+  one pass over them resolves every channel state; the upper sets behind
+  them are walked once per distinct schedulable set in a solve, and dropped
+  when it returns. Slot costs come from a per-solve table indexed by
+  (channel state, price key), where the walk names each emission's sizes by
+  a small key, priced once.
 
 Indexing a trace is linear in its length: priorities are compared only
 between packets live in a common slot, the only pairs any slot reads.
@@ -36,15 +37,17 @@ submasks of that mask. _TraceIndex alone reads or writes this encoding,
 and it interns the public JointState of each (t, pending, record, channel)
 it builds, so decoding an equal state again is one lookup.
 
-Post-decision values are keyed by the stripped pending set (expiring
-packets removed), the dependency record already advanced to the next slot,
-and the current channel state. The planned key family follows the per-slot
-enumeration; states sitting outside it (reachable only through dependency
-starvation, or through external loss feedback during simulation) are
-evaluated lazily on demand. Those met while planning join the table and are
-tallied as extra; those met while acting go to per-slot memos on the policy,
-so acting never changes a solved table. Every state value is stored with the
-emission order that achieves it, so deciding in a known state is a lookup.
+Every value table holds one row over channel states per (pending set,
+record) pair, as the exhaustive reference does. Post-decision rows are keyed
+by the stripped pending set (expiring packets removed) and the dependency
+record already advanced to the next slot. The planned key family follows the
+per-slot enumeration; pairs sitting outside it (reachable only through
+dependency starvation, or through external loss feedback during simulation)
+are evaluated lazily on demand, a whole row at a time. Those met while
+planning join the table and are tallied as extra; those met while acting go
+to per-slot memos on the policy, so acting never changes a solved table.
+Every state value is stored with the emission order that achieves it, so
+deciding in a known state is a lookup.
 Every engine decides through _Policy.decide, which remembers the emission of
 each state the index interned, so deciding that state again is one lookup by
 identity.
@@ -82,14 +85,15 @@ class JointState:
 class ValueTable:
     """Per-slot value maps plus the counters frozen at solve time."""
 
-    # state_values[t]: (pending mask, dep mask, h) -> (slot value, emission ids)
+    # state_values[t]: (pending mask, dep mask) -> (slot values, emission ids),
+    # two lists indexed by channel state
     state_values: list[dict]
-    # post_values[t]: (stripped pending mask, next dep mask, h) -> hold value
+    # post_values[t]: (stripped pending mask, next dep mask) -> hold values,
+    # a list indexed by channel state
     post_values: list[dict]
-    visited: list[int]
-    stored: list[int]
+    visited: list[int]  # per slot, then a 0 past the horizon
     comparisons: list[int]  # candidate emissions scored, per slot
-    extra: list[int]  # off-family states evaluated while planning, per slot
+    extra: list[int]  # off-family states evaluated while planning, per slot: n_h per pair
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +282,9 @@ class _TraceIndex:
     def deps_tuple(self, t: int, dmask: int) -> tuple[tuple[int, bool], ...]:
         return tuple((pid, bool(dmask >> p & 1)) for pid, p in self.dep_record[t])
 
-    def label(self, t: int, pending: int, dmask: int, h: int | str = "") -> str:
-        """Dump key of a state: pending ids, slot t's record and the channel.
-
-        Without h it is the key up to the channel digit, which a dump listing
-        one (pending, record) pair under every channel state appends.
-        """
+    def label(self, t: int, pending: int, dmask: int) -> str:
+        """Dump key of a (pending, record) pair up to the channel digit:
+        pending ids in id order, then slot t's record."""
         bits = []
         while pending:
             low = pending & -pending
@@ -291,7 +292,17 @@ class _TraceIndex:
             pending ^= low
         ids = ",".join(self.id_str[i] for i in sorted(bits, key=self.ids.__getitem__))
         deps = ",".join(f"{pid}:{dmask >> p & 1}" for pid, p in self.dep_record[t])
-        return f"B={ids}|D={deps}|h={h}"
+        return f"B={ids}|D={deps}|h="
+
+    def dump_rows(self, t: int, rows) -> dict:
+        """Dump entries of slot t's (pair, row over channel states) items: one
+        per channel state, keyed by the pair's label and the state's digit."""
+        out = {}
+        for (pending, dmask), row in rows:
+            head = self.label(t, pending, dmask)
+            for h, value in enumerate(row):
+                out[head + str(h)] = value
+        return out
 
     def joint_state(self, t: int, pending: int, dmask: int, h: int) -> JointState:
         key = (t, pending, dmask, h)
@@ -459,25 +470,18 @@ class SolvedPolicy(_Policy):
         return "convex_interdependent" if self.trace.has_dependencies else "convex_independent"
 
     def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
-        return _state_entry(self, t, pending, dmask, h)[1]
+        return _state_entry(self, t, pending, dmask)[1][h]
 
     def state_value(self, state: JointState) -> float:
         pending, dmask = self.idx.state_masks(state, self.channel.n_states)
-        return _state_entry(self, state.t, pending, dmask, state.channel)[0]
+        return _state_entry(self, state.t, pending, dmask)[0][state.channel]
 
     def _dump_tables(self) -> dict:
-        slots = []
-        for t in range(self.idx.horizon + 1):
-            # One label per (pending, record) pair; each channel state
-            # appends its digit.
-            post, heads = {}, {}
-            for (bmask, dmask, h), v in self.table.post_values[t].items():
-                head = heads.get((bmask, dmask))
-                if head is None:
-                    head = heads[bmask, dmask] = self.idx.label(t + 1, bmask, dmask)
-                post[head + str(h)] = v
-            slots.append({**_slot_counts(self.table, t), "post_values": post})
-        return {"slots": slots}
+        return {"slots": [
+            {**_slot_counts(self.table, t),
+             "post_values": self.idx.dump_rows(t + 1, self.table.post_values[t].items())}
+            for t in range(self.idx.horizon + 1)
+        ]}
 
 
 # ---------------------------------------------------------------------------
@@ -485,38 +489,39 @@ class SolvedPolicy(_Policy):
 # ---------------------------------------------------------------------------
 
 
-def _post_value(pol: SolvedPolicy, t: int, stripped: int, nxt_dmask: int, h: int) -> float:
-    """Hold value of slot t's post-decision state (stripped, nxt_dmask, h)
-    off the planned table: from the memo, or evaluated on demand."""
-    key = (stripped, nxt_dmask, h)
+def _post_value(pol: SolvedPolicy, t: int, stripped: int, nxt_dmask: int) -> list[float]:
+    """Hold values of slot t's post-decision pair (stripped, nxt_dmask) off
+    the planned table, per channel state: from the memo, or evaluated on demand."""
+    key = (stripped, nxt_dmask)
     hit = pol._post_memo[t].get(key)
     if hit is not None:
         return hit
-    nxt_pending = stripped | pol.idx.arrive_mask[t + 1]
-    row = pol.channel.transition[h]
-    total = 0.0
-    for h2 in range(pol.channel.n_states):
-        if row[h2] > 0.0:
-            total += row[h2] * _state_entry(pol, t + 1, nxt_pending, nxt_dmask, h2)[0]
-    value = pol.alpha * total
-    pol._post_memo[t][key] = value
-    return value
+    nxt = _state_entry(pol, t + 1, stripped | pol.idx.arrive_mask[t + 1], nxt_dmask)[0]
+    row = []
+    for probs in pol.channel.transition.tolist():
+        total = 0.0
+        for p, value in zip(probs, nxt):
+            if p > 0.0:
+                total += p * value
+        row.append(pol.alpha * total)
+    pol._post_memo[t][key] = row
+    return row
 
 
-def _state_entry(
-    pol: SolvedPolicy, t: int, pending: int, dmask: int, h: int
-) -> tuple[float, tuple[int, ...]]:
-    """Slot value and emission order, from the table, the memo or one resolution."""
+def _state_entry(pol: SolvedPolicy, t: int, pending: int, dmask: int) -> tuple[list, list]:
+    """Slot values and emission orders per channel state, from the table, the
+    memo or one resolution."""
     if t > pol.idx.horizon:
         if pending:
             raise SolverError("pending packets past the horizon")
-        return 0.0, ()
-    key = (pending, dmask, h)
+        n_h = pol.channel.n_states
+        return [0.0] * n_h, [()] * n_h
+    key = (pending, dmask)
     hit = pol.table.state_values[t].get(key)
     if hit is None:
         hit = pol._state_memo[t].get(key)
     if hit is None:
-        hit = _resolve(pol, t, pending, dmask, h)
+        hit = _resolve(pol, t, pending, dmask)
         pol._state_memo[t][key] = hit
     return hit
 
@@ -579,32 +584,30 @@ def _upper_sets(pol: SolvedPolicy, sched: int) -> list[tuple]:
 
 
 def _resolve(
-    pol: SolvedPolicy,
-    t: int,
-    pending: int,
-    dmask: int,
-    h: int,
-    emissions: list | None = None,
-) -> tuple[float, tuple[int, ...]]:
-    """Resolve one slot at (pending, dmask, h): slot value and emission order.
+    pol: SolvedPolicy, t: int, pending: int, dmask: int, emissions: list | None = None
+) -> tuple[list, list]:
+    """Resolve one slot at (pending, dmask): slot values and emission orders,
+    two lists indexed by channel state.
 
     Scores every priority-respecting emission by its distortion, minus the
     lambda-weighted batch cost, plus the hold value it leads to, and keeps
-    the first best one (so the smallest, and no emission on a tie with it).
-    emissions is _emissions(...) when the caller already has it.
+    per channel state the first best one (so the smallest, and no emission on
+    a tie with it). emissions is _emissions(...) when the caller already has it.
     """
     if emissions is None:
         emissions = _emissions(pol, t, pending, dmask)
-    batch, post = pol.batch[h], pol.table.post_values[t]
-    best_value, best_order = -math.inf, ()
+    batch, post, lam = pol.batch, pol.table.post_values[t], pol.lam
+    n_h = len(batch)
+    values, orders = [-math.inf] * n_h, [()] * n_h
     for order, q, stripped, nxt_dmask, key in emissions:
-        hold = post.get((stripped, nxt_dmask, h))
+        hold = post.get((stripped, nxt_dmask))
         if hold is None:
-            hold = _post_value(pol, t, stripped, nxt_dmask, h)
-        value = q - pol.lam * batch[key] + hold
-        if value > best_value:
-            best_value, best_order = value, order
-    return best_value, best_order
+            hold = _post_value(pol, t, stripped, nxt_dmask)
+        for h in range(n_h):
+            value = q - lam * batch[h][key] + hold[h]
+            if value > values[h]:
+                values[h], orders[h] = value, order
+    return values, orders
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +670,6 @@ def solve_convex(
         state_values=[{} for _ in range(hz + 2)],
         post_values=[{} for _ in range(hz + 1)],
         visited=[0] * (hz + 2),
-        stored=[0] * (hz + 1),
         comparisons=[0] * (hz + 1),
         extra=[0] * (hz + 2),
     )
@@ -683,8 +685,7 @@ def solve_convex(
         keys={},
     )
     # Past the last deadline everything has expired or been dropped.
-    for h in range(n_h):
-        table.post_values[hz][(0, 0, h)] = 0.0
+    table.post_values[hz][(0, 0)] = [0.0] * n_h
 
     transition = channel.transition
     walks: dict[int, list] = {}  # upper sets per schedulable set, for this solve only
@@ -699,29 +700,22 @@ def solve_convex(
             for dmask in records:
                 emissions = _emissions(pol, t, pending, dmask, walks)
                 table.comparisons[t] += n_h * len(emissions)
-                row = []
-                for h in range(n_h):
-                    entry = _resolve(pol, t, pending, dmask, h, emissions)
-                    values[(pending, dmask, h)] = entry
-                    row.append(entry[0])
+                values[(pending, dmask)] = entry = _resolve(pol, t, pending, dmask, emissions)
                 keys.append((pre, dmask))
-                future.append(row)
+                future.append(entry[0])
         table.visited[t] = n_h * len(records) * (len(pre_sets) - 1)
         if t > 0:
-            table.stored[t - 1] = table.visited[t]
             # One stacked product per slot, row by row the same bits as
             # transition @ row.
             held = alpha * np.matmul(transition, np.array(future)[:, :, None])[:, :, 0]
-            post = table.post_values[t - 1]
-            for (pre, dmask), row in zip(keys, held.tolist()):
-                for h, value in enumerate(row):
-                    post[(pre, dmask, h)] = value
-    # Off-family states that planning evaluated join the table behind the
-    # planned ones, in evaluation order, and count as extra.
+            table.post_values[t - 1].update(zip(keys, held.tolist()))
+    # Off-family pairs that planning evaluated join the table behind the
+    # planned ones, in evaluation order, and count as extra: one state per
+    # channel state.
     for t in range(hz + 1):
         table.post_values[t].update(pol._post_memo[t])
         table.state_values[t].update(pol._state_memo[t])
-        table.extra[t] = len(pol._state_memo[t])
+        table.extra[t] = n_h * len(pol._state_memo[t])
     return replace(pol)  # a new instance: acting starts with empty memos
 
 
@@ -748,7 +742,7 @@ def _slot_counts(table: ValueTable, t: int) -> dict:
     return {
         "t": t,
         "visited_states": table.visited[t],
-        "stored_post_states": table.stored[t],
+        "stored_post_states": table.visited[t + 1],  # slot t's post states are slot t + 1's
         "comparisons": table.comparisons[t],
         "extra_states": table.extra[t],
     }

@@ -218,16 +218,18 @@ def test_criterion_06_per_slot_state_counts():
         accepted += 1
         channel = random_channel(rng, n_states=int(rng.integers(2, 4)))
         pol = solve_convex(trace, channel, CostModel(kind="linear"), 0.9, 1.0)
+        rows = complexity_report(pol)
         hz = trace.horizon
-        for t in range(hz + 1):
+        assert [row["t"] for row in rows] == list(range(hz + 1))
+        for t, row in enumerate(rows):
             _, aux = reachable_states(trace, t)
             carried = len(aux.nodes)
             phi = disconnection_degree(aux)
             k_t = len(_dep_members(trace, t))
-            assert pol.table.visited[t] == channel.n_states * 2**k_t * (carried + phi)
+            assert row["visited_states"] == channel.n_states * 2**k_t * (carried + phi)
             if t < hz:
-                assert pol.table.stored[t] == pol.table.visited[t + 1]
-        assert pol.table.stored[hz] == 0
+                assert row["stored_post_states"] == rows[t + 1]["visited_states"]
+        assert rows[hz]["stored_post_states"] == 0
     print("PASS criterion 6: visited counts equal |H| x 2^|K| x (N + phi) on "
           "every slot of 12 instances, stored counts chain to the next slot")
 

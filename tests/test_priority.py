@@ -26,7 +26,6 @@ from mediasched import (
     priority_pairs,
     reachable_states,
     roots,
-    tree_node_sets,
     tree_to_dot,
 )
 from mediasched import priority, synth_trace
@@ -293,8 +292,8 @@ def test_tree_nodes_match_downclosed_subsets():
         g.add_nodes_from(nodes)
         g.add_edges_from(edges)
         succ_c = {n: nx.descendants(g, n) for n in nodes}
-        pred_c = {n: frozenset(nx.ancestors(g, n)) for n in nodes}
-        family = tree_node_sets(nodes, pred_c)
+        tree = build_state_tree(PriorityGraph(frozenset(nodes), frozenset(edges)))
+        family = {pg.nodes for pg in tree.nodes}
         assert family == downclosed_family(nodes, succ_c)
 
 
@@ -312,8 +311,8 @@ def test_pair_formula_on_pairwise_only_dags():
         g = nx.DiGraph()
         g.add_nodes_from(nodes)
         g.add_edges_from(edges)
-        pred_c = {n: frozenset(nx.ancestors(g, n)) for n in nodes}
-        family = tree_node_sets(nodes, pred_c)
+        tree = build_state_tree(PriorityGraph(frozenset(nodes), frozenset(edges)))
+        family = {pg.nodes for pg in tree.nodes}
         phi = sum(
             1
             for a, b in combinations(sorted(nodes), 2)

@@ -1,9 +1,10 @@
 """Generated instances: the tree solver against the exhaustive reference,
-every stored value against the one-step Bellman equation on its own table,
-the per-slot state count against the paper's closed form, and the plan as
-an upper bound on acting with delayed channel feedback. Gap instances, where
-a packet is referenced again after a slot gap past its deadline, get the
-same checks, plus the plan against lossless Monte Carlo."""
+every stored value against the one-step Bellman equation on its own table
+and against the reference's row, the per-slot state count against the
+paper's closed form, and the plan as an upper bound on acting with delayed
+channel feedback. Gap instances, where a packet is referenced again after a
+slot gap past its deadline, get the same checks, plus the plan against
+lossless Monte Carlo."""
 
 from dataclasses import replace
 
@@ -92,9 +93,12 @@ def test_a_smaller_packet_need_not_go_first_under_a_convex_cost():
 @given(instances(gaps=True))
 def test_gap_plans_match_the_exhaustive_reference_at_every_state(inst):
     pol, ref = solve_convex(*inst), solve_exhaustive(*inst)
+    n_h = inst[1].n_states
     for t, values in enumerate(pol.table.state_values):
-        for (pending, dmask, h), (value, _) in values.items():
-            assert rel_close(value, ref.values[t][(pending, dmask)][h]), (t, pending, dmask, h)
+        for pair, (row, orders) in values.items():
+            want = ref.values[t][pair]
+            assert len(row) == len(orders) == len(want) == n_h
+            assert all(rel_close(a, b) for a, b in zip(row, want)), (t, pair, row, want)
 
 
 def referenced_expired(trace, t):
@@ -133,33 +137,37 @@ def check_bellman(inst):
     # A state's value is its emission's distortion, minus the lambda-weighted
     # batch cost, plus the post-decision value the emission leads to; that
     # post-decision value is the discounted expected value of the next slot.
+    # Each row over channel states is also the exhaustive reference's row.
     trace, channel, cost, alpha, lam = inst
-    pol = solve_convex(*inst)
-    idx, table = pol.idx, pol.table
+    pol, ref = solve_convex(*inst), solve_exhaustive(*inst)
+    idx, table, n_h = pol.idx, pol.table, channel.n_states
     for t in range(trace.horizon + 1):
-        for (pending, dmask, h), (value, order) in table.state_values[t].items():
-            state = channel.states[h]
-            tx = idx.mask_of(order)
-            gain = sum(trace.by_id[pid].distortion for pid in order)
-            sizes = [trace.by_id[pid].size_bits for pid in order]
-            if cost.kind == "convex":
-                paid = cost.cost(sum(sizes), state) if order else 0.0
-            else:
-                paid = sum(cost.cost(size, state) for size in sizes)
-            stripped = pending & ~tx & ~idx.expire_mask[t]
-            key = (stripped, idx.dep_after(t, dmask, pending, tx), h)
-            post = table.post_values[t][key]
-            assert rel_close(value, gain - lam * paid + post)
-            if t == trace.horizon:
-                assert key == (0, 0, h) and post == 0.0
-                continue
-            nxt = table.state_values[t + 1]
-            expect = alpha * sum(
-                p * nxt[(stripped | idx.arrive_mask[t + 1], key[1], h2)][0]
-                for h2, p in enumerate(channel.transition[h])
-                if p > 0.0
-            )
-            assert rel_close(post, expect)
+        for (pending, dmask), (values, orders) in table.state_values[t].items():
+            want = ref.values[t][(pending, dmask)]
+            assert len(values) == len(orders) == len(want) == n_h
+            assert all(rel_close(a, b) for a, b in zip(values, want)), (t, pending, dmask)
+            for h, (value, order) in enumerate(zip(values, orders)):
+                state = channel.states[h]
+                tx = idx.mask_of(order)
+                gain = sum(trace.by_id[pid].distortion for pid in order)
+                sizes = [trace.by_id[pid].size_bits for pid in order]
+                if cost.kind == "convex":
+                    paid = cost.cost(sum(sizes), state) if order else 0.0
+                else:
+                    paid = sum(cost.cost(size, state) for size in sizes)
+                stripped = pending & ~tx & ~idx.expire_mask[t]
+                key = (stripped, idx.dep_after(t, dmask, pending, tx))
+                post = table.post_values[t][key]
+                assert len(post) == n_h
+                assert rel_close(value, gain - lam * paid + post[h])
+                if t == trace.horizon:
+                    assert key == (0, 0) and post[h] == 0.0
+                    continue
+                nxt = table.state_values[t + 1][(stripped | idx.arrive_mask[t + 1], key[1])][0]
+                expect = alpha * sum(
+                    p * nxt[h2] for h2, p in enumerate(channel.transition[h]) if p > 0.0
+                )
+                assert rel_close(post[h], expect)
 
 
 @PROPERTY_SETTINGS

@@ -311,9 +311,9 @@ def test_planned_decides_are_one_lookup(monkeypatch):
         masks.append(state)
         return state_masks(self, state, n_states)
 
-    def counting_resolve(p, t, pending, dmask, h, emissions=None):
-        walks.append((t, (pending, dmask, h)))
-        return resolve(p, t, pending, dmask, h, emissions)
+    def counting_resolve(p, t, pending, dmask, emissions=None):
+        walks.append((t, (pending, dmask)))
+        return resolve(p, t, pending, dmask, emissions)
 
     monkeypatch.setattr(solver._TraceIndex, "state_masks", counting_state_masks)
     monkeypatch.setattr(solver, "_resolve", counting_resolve)
@@ -324,10 +324,14 @@ def test_planned_decides_are_one_lookup(monkeypatch):
     assert len(rec.states) == (trace.horizon + 1) * 200
     assert sorted(map(id, masks)) == sorted({id(s) for s in rec.states})
     assert len(pol._decided) == len(masks) < len(rec.states)
-    # Planned states are looked up; only off-plan states are walked, once each.
+    # Planned states are looked up; only off-plan (pending, record) pairs are
+    # walked, once each, into one row over every channel state.
     assert walks
     assert all(key not in pol.table.state_values[t] for t, key in walks)
     assert len(set(walks)) == len(walks) == sum(map(len, pol._state_memo))
+    for t, key in walks:
+        values, orders = pol._state_memo[t][key]
+        assert len(values) == len(orders) == channel.n_states
 
 
 @pytest.mark.parametrize("engine", [solve_linear, solve_convex, solve_exhaustive])

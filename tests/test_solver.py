@@ -327,8 +327,13 @@ def test_label_lists_pending_ids_in_id_order():
         )
     )
     idx = _TraceIndex(trace)
-    assert idx.label(0, idx.mask_of([12, 3, 10]), 0, 1) == "B=3,10,12|D=|h=1"
-    assert idx.label(0, 0, 0, 0) == "B=|D=|h=0"
+    pending = idx.mask_of([12, 3, 10])
+    assert idx.label(0, pending, 0) == "B=3,10,12|D=|h="
+    assert idx.label(0, 0, 0) == "B=|D=|h="
+    # A dump lists a pair's row with each channel state's digit appended.
+    assert idx.dump_rows(0, [((pending, 0), [1.5, 2.5]), ((0, 0), [0.0, 3.0])]) == {
+        "B=3,10,12|D=|h=0": 1.5, "B=3,10,12|D=|h=1": 2.5, "B=|D=|h=0": 0.0, "B=|D=|h=1": 3.0,
+    }
 
 
 def test_gapped_reference_window_is_carried():
@@ -346,9 +351,14 @@ def test_gapped_reference_window_is_carried():
     inst = (trace, flat_channel(), CostModel(kind="linear"), 0.9, 1.0)
     pol, ref = solve_convex(*inst), solve_exhaustive(*inst)
     assert pol.idx.dep_ids == [(), ()] + [(1,)] * 5 + [()]
+    compared = 0
     for t, values in enumerate(pol.table.state_values):
-        for (pending, dmask, h), (value, _) in values.items():
-            assert rel_close(value, ref.values[t][(pending, dmask)][h])
+        for pair, (row, orders) in values.items():
+            want = ref.values[t][pair]
+            assert len(row) == len(orders) == len(want) == 2
+            assert all(rel_close(a, b) for a, b in zip(row, want)), (t, pair)
+            compared += 1
+    assert compared == sum(map(len, pol.table.state_values)) > 0
     # The carried bit alone decides whether packet 3 can be sent.
     for delivered, sent in ((False, []), (True, [3])):
         state = JointState(5, frozenset({3}), ((1, delivered),), 1)
@@ -547,9 +557,13 @@ def test_decide_returns_the_walk_stored_with_each_value():
         off_plan += sum(map(len, pol._state_memo))
         idx = pol.idx
         for t in range(trace.horizon + 1):
-            for pending, dmask, h in [*pol.table.state_values[t], *pol._state_memo[t]]:
-                state = JointState(t, idx.ids_of(pending), idx.deps_tuple(t, dmask), h)
-                assert pol.decide(state) == list(_resolve(pol, t, pending, dmask, h)[1])
+            for pending, dmask in [*pol.table.state_values[t], *pol._state_memo[t]]:
+                values, orders = _resolve(pol, t, pending, dmask)
+                assert len(values) == len(orders) == channel.n_states
+                for h, order in enumerate(orders):
+                    state = JointState(t, idx.ids_of(pending), idx.deps_tuple(t, dmask), h)
+                    assert pol.decide(state) == list(order)
+                    assert pol.state_value(state) == values[h]
     assert off_plan > 0
 
 
@@ -563,17 +577,18 @@ def test_visited_counts_follow_the_slot_trees():
         trace = random_trace(rng, deps=deps, uniform=True)
         channel = random_channel(rng)
         pol = solve_convex(trace, channel, CostModel(kind="convex"), 0.9, 1.0)
+        rows = complexity_report(pol)
         n_h = channel.n_states
         hz = trace.horizon
-        for t in range(hz + 1):
+        for t, row in enumerate(rows):
             _, aux = reachable_states(trace, t)
             nonempty = build_state_tree(aux).distinct_nonempty_count
             n_dep = len(dep_members(trace, t))
-            assert pol.table.visited[t] == n_h * (1 << n_dep) * nonempty
+            assert row["visited_states"] == n_h * (1 << n_dep) * nonempty
         for t in range(hz):
-            assert pol.table.stored[t] == pol.table.visited[t + 1]
-        assert pol.table.stored[hz] == 0
-        assert all(x == 0 for x in pol.table.extra)
+            assert rows[t]["stored_post_states"] == rows[t + 1]["visited_states"]
+        assert rows[hz]["stored_post_states"] == 0
+        assert all(row["extra_states"] == 0 for row in rows)
 
 
 def test_independent_queries_stay_on_plan():
@@ -676,25 +691,59 @@ def test_comparisons_count_every_planned_emission_per_channel_state():
     assert with_extra >= 3
 
 
+def test_extra_states_count_whole_rows_when_a_channel_state_is_never_entered():
+    # Off-plan pairs are resolved a row at a time, so each counts n_h extra
+    # states, also under a channel whose third state no transition enters,
+    # where the hold values read only two of every next row's three entries.
+    rng = np.random.default_rng(24)
+    with_extra = 0
+    for i in range(300):
+        trace = random_trace(rng, n=int(rng.integers(2, 11)), deps=True, uniform=True)
+        channel = random_channel(rng, 3)
+        transition = channel.transition.copy()
+        transition[:, 2] = 0.0
+        transition /= transition.sum(axis=1, keepdims=True)
+        channel = replace(channel, transition=transition)
+        inst = (trace, channel, CostModel(kind=("linear", "convex")[i % 2], slot_duration=2.0),
+                0.9, 1.0)
+        pol = solve_convex(*inst)
+        if not any(pol.table.extra):
+            continue
+        with_extra += 1
+        idx, ref = pol.idx, solve_exhaustive(*inst)
+        for t in range(trace.horizon + 1):
+            planned = len(idx.aux_tree_sets(t)) * len(tuple(idx.records(t)))
+            values = pol.table.state_values[t]
+            assert pol.table.extra[t] == 3 * (len(values) - planned)
+            for pair, (row, _) in values.items():
+                assert all(rel_close(a, b) for a, b in zip(row, ref.values[t][pair], strict=True))
+    assert with_extra >= 3
+
+
 def test_planned_keys_come_first_in_loop_order():
     # The dumps serialize post_values in insertion order: the planned
-    # (pre, record, h) keys, then the extras met while planning.
+    # (pre, record) pairs, then the extras met while planning, each pair's
+    # row as n_h consecutive keys that differ only in the channel digit.
     with_extra = 0
     for pol in planned_slot_tables(24, 200):
-        idx, table = pol.idx, pol.table
+        idx, table, n_h = pol.idx, pol.table, pol.channel.n_states
+        slots = pol.to_dump_dict()["slots"]
         for t in range(idx.horizon + 1):
-            keys = [
-                (pre, dmask, h)
-                for pre in idx.aux_tree_sets(t)
-                for dmask in idx.records(t)
-                for h in range(pol.channel.n_states)
-            ]
+            keys = [(pre, dmask) for pre in idx.aux_tree_sets(t) for dmask in idx.records(t)]
             arriving = idx.arrive_mask[t]
             states = list(table.state_values[t])
-            assert states[:len(keys)] == [(pre | arriving, d, h) for pre, d, h in keys]
-            assert len(states) == len(keys) + table.extra[t]
+            assert states[:len(keys)] == [(pre | arriving, d) for pre, d in keys]
+            assert n_h * len(states) == n_h * len(keys) + table.extra[t]
             if t > 0:
                 assert list(table.post_values[t - 1])[:len(keys)] == keys
+            post = table.post_values[t]
+            dumped = list(slots[t]["post_values"].items())
+            assert len(dumped) == n_h * len(post)
+            for i, ((pending, dmask), row) in enumerate(post.items()):
+                head = idx.label(t + 1, pending, dmask)
+                assert len(row) == n_h
+                want = [(head + str(h), value) for h, value in enumerate(row)]
+                assert dumped[i * n_h:(i + 1) * n_h] == want
         with_extra += any(table.extra)
     assert with_extra >= 3
 
@@ -722,7 +771,10 @@ def test_complexity_report_shape():
     for t, row in enumerate(rows):
         assert row["t"] == t
         assert row["visited_states"] == pol.table.visited[t]
-        assert row["stored_post_states"] == pol.table.stored[t]
+        # slot t's post states are the states slot t + 1 plans
+        assert row["stored_post_states"] == (
+            rows[t + 1]["visited_states"] if t < trace.horizon else 0
+        )
         assert row["comparisons"] == pol.table.comparisons[t]
         assert row["extra_states"] == pol.table.extra[t]
         assert row["std_states"] == std[t]["states"]

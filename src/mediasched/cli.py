@@ -29,7 +29,6 @@ from .priority import (
     build_state_tree,
     disconnection_degree,
     pg_to_dot,
-    reachable_states,
     tree_to_dot,
 )
 from .scenarios import SCENARIOS, save_scenario
@@ -39,7 +38,7 @@ from .sim import (
     baseline_myopic,
     monte_carlo,
 )
-from .solver import complexity_report, solve
+from .solver import complexity_report, reachable_states, solve
 
 
 def _add_io_args(p: argparse.ArgumentParser):

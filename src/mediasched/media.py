@@ -292,22 +292,6 @@ def dump_trace(trace: MediaTrace) -> str:
     return json.dumps(doc, indent=2)
 
 
-def descendants(trace: MediaTrace, packet_id: int) -> set[int]:
-    """All packets that transitively depend on packet_id."""
-    return _relatives(trace, packet_id, trace.descendant_masks)
-
-
-def ancestors(trace: MediaTrace, packet_id: int) -> set[int]:
-    """All packets that packet_id transitively depends on."""
-    return _relatives(trace, packet_id, trace.ancestor_masks)
-
-
-def _relatives(trace: MediaTrace, packet_id: int, masks: list[int]) -> set[int]:
-    if packet_id not in trace._pos:
-        raise ValueError(f"unknown packet id {packet_id}")
-    return {trace.packets[i].id for i in _bits(masks[trace._pos[packet_id]])}
-
-
 def synth_trace(
     n_gops: int,
     frames_per_gop: int,

@@ -17,8 +17,8 @@ larger unordered clusters push the count above that.
 
 One bitmask core computes the relation (from the ancestor and descendant
 masks each trace caches), its closure, its transitive reduction and root
-peeling. The id-set functions are adapters around it, and the solver's
-trace index uses it directly.
+peeling. The id-set functions are adapters around it; the solver's trace
+index uses it directly, and solver.reachable_states reads its slot view.
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ class PriorityGraph:
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]  # (higher, lower), transitively reduced
 
-    def predecessors(self) -> dict[int, frozenset[int]]:
-        pred: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            pred[b].add(a)
-        return {n: frozenset(s) for n, s in pred.items()}
-
-    def successors(self) -> dict[int, frozenset[int]]:
-        succ: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            succ[a].add(b)
-        return {n: frozenset(s) for n, s in succ.items()}
-
 
 @dataclass(frozen=True)
 class StateTree:
@@ -58,32 +46,17 @@ class StateTree:
         return sum(1 for g in self.nodes if g.nodes)
 
 
-def higher_priority(j, k, trace: MediaTrace) -> str:
-    """Order two packets: 'j_before_k', 'k_before_j', or 'incomparable'.
-
-    The attribute test also needs one size: a smaller j is not enough, as
-    under a convex cost it can pay to send the larger k now and keep the
-    smaller, cheaper j for later. Attribute ties in both directions resolve
-    toward the lower id so the relation stays antisymmetric.
-    """
-    if j.id == k.id:
-        raise ValueError("cannot order a packet against itself")
-    for p in (j, k):
-        if p.id not in trace._pos:
-            raise ValueError(f"unknown packet id {p.id}")
-    a, b = trace._pos[j.id], trace._pos[k.id]
-    desc, anc = trace.descendant_masks, trace.ancestor_masks
-    verdict = _order(j, k, 1 << a, 1 << b, desc[a], desc[b], anc[a], anc[b])
-    return ("k_before_j", "incomparable", "j_before_k")[verdict + 1]
-
-
 def _order(
     j, k, bit_j: int, bit_k: int, desc_j: int, desc_k: int, anc_j: int, anc_k: int
 ) -> int:
     """1 when j outranks k, -1 when k outranks j, 0 when unordered.
 
     bit_* is a packet's own bit, desc_* the mask of its dependents and anc_*
-    the mask of the packets it depends on.
+    the mask of the packets it depends on. The attribute test also needs one
+    size: a smaller j is not enough, as under a convex cost it can pay to
+    send the larger k now and keep the smaller, cheaper j for later.
+    Attribute ties in both directions resolve toward the lower id so the
+    relation stays antisymmetric.
     """
     if desc_j & bit_k:
         return 1
@@ -218,20 +191,25 @@ def _masks(nodes, pairs) -> tuple[tuple[int, ...], list[int]]:
     return frame, pred
 
 
+def _frame(trace: MediaTrace, ids) -> tuple[int, ...]:
+    """The distinct ids in ascending order; an id not in the trace raises."""
+    frame = tuple(sorted(set(ids)))
+    unknown = [x for x in frame if x not in trace.by_id]
+    if unknown:
+        raise ValueError(f"unknown packet ids {unknown}")
+    return frame
+
+
 def priority_pairs(trace: MediaTrace, ids) -> set[tuple[int, int]]:
-    """All ordered pairs (a, b) with a outranking b among the given ids."""
-    ids = tuple(ids)
-    pred = outranked_by(trace, ids)
-    return {(ids[a], ids[b]) for b, mask in enumerate(pred) for a in _bits(mask)}
+    """All ordered pairs (a, b) with a outranking b among the distinct ids."""
+    frame = _frame(trace, ids)
+    pred = outranked_by(trace, frame)
+    return {(frame[a], frame[b]) for b, mask in enumerate(pred) for a in _bits(mask)}
 
 
 def build_priority_graph(ids, trace: MediaTrace) -> PriorityGraph:
-    """Pairwise-ordered graph over ids, transitively reduced."""
-    ids = frozenset(ids)
-    unknown = ids - set(trace.by_id)
-    if unknown:
-        raise ValueError(f"unknown packet ids {sorted(unknown)}")
-    frame = tuple(sorted(ids))
+    """Pairwise-ordered graph over the distinct ids, transitively reduced."""
+    frame = _frame(trace, ids)
     return _graph(frame, close(outranked_by(trace, frame)), (1 << len(frame)) - 1)
 
 
@@ -264,24 +242,6 @@ def build_state_tree(pg: PriorityGraph) -> StateTree:
         (graphs[m].nodes, graphs[c].nodes) for m, kids in family.items() for c in kids
     )
     return StateTree(root=pg, nodes=frozenset(graphs.values()), edges=edges)
-
-
-def reachable_states(trace: MediaTrace, t: int) -> tuple[set[frozenset[int]], PriorityGraph]:
-    """Pending-set states a priority-respecting policy can occupy at slot t.
-
-    Returns the states (packets arriving exactly at t merged into each) and
-    the auxiliary graph over packets that arrived before t and are still
-    within deadline; edges additionally require the higher-ranked packet not
-    to arrive later, since a later arrival cannot precede in time.
-    """
-    if t < 0:
-        raise ValueError("slot must be nonnegative")
-    frame = tuple(sorted(p.id for p in trace.packets if p.arrival < t <= p.deadline))
-    pred = arrival_ordered(trace, frame, outranked_by(trace, frame))
-    full = (1 << len(frame)) - 1
-    aux = _graph(frame, close(pred), full)
-    arriving = trace.arrivals(t)
-    return {_ids(frame, m) | arriving for m in peel(full, pred)}, aux
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ import numpy as np
 from .channel import ChannelModel, CostModel, _uniform_rows, averaged_channel, path_sampler
 from .media import MediaTrace
 from .single_packet import _check_inputs
-from .solver import (
-    DecomposedPolicy, JointState, SolvedPolicy, _Decider, _index_for, solve, solve_convex)
+from .solver import DecomposedPolicy, SolvedPolicy, _Decider, _index_for, solve, solve_convex
 
 
 @dataclass(frozen=True)
@@ -295,19 +294,22 @@ def baseline_distortion_greedy(
 
 
 @dataclass(eq=False)
-class ConstantChannelPolicy:
-    """Plan against the stationary average channel, ignore observed states."""
+class ConstantChannelPolicy(_Decider):
+    """Plan against the stationary average channel, ignore observed states.
+
+    channel is the observed channel: decide refuses a state outside it, as
+    every policy does, then answers the inner plan's channel-0 emission.
+    """
 
     inner: DecomposedPolicy | SolvedPolicy
+    channel: ChannelModel
     name: str = "constant"
 
-    def decide(self, state: JointState) -> list[int]:
-        idx = self.inner.idx  # any channel goes; the inner memo keeps the channel-0 state
-        try:
-            pending, dmask = idx._masks[state]
-        except (KeyError, TypeError):
-            pending, dmask = idx.state_masks(JointState(state.t, state.pending, state.deps, 0), 1)
-        return self.inner.decide(idx.joint_state(state.t, pending, dmask, 0))
+    def __post_init__(self):
+        self.idx = self.inner.idx
+
+    def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
+        return self.inner._act(t, pending, dmask, 0)
 
 
 def baseline_constant_channel(
@@ -318,4 +320,4 @@ def baseline_constant_channel(
     lam: float,
 ) -> ConstantChannelPolicy:
     avg = averaged_channel(channel)
-    return ConstantChannelPolicy(inner=solve(trace, avg, cost, alpha, lam))
+    return ConstantChannelPolicy(inner=solve(trace, avg, cost, alpha, lam), channel=channel)

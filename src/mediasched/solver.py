@@ -48,9 +48,10 @@ planning join the table and are tallied as extra; those met while acting go
 to per-slot memos on the policy, so acting never changes a solved table.
 Every state value is stored with the emission order that achieves it, so
 deciding in a known state is a lookup.
-Every engine decides through _Policy.decide, which remembers the emission of
-each state the index interned, so deciding that state again is one lookup by
-identity.
+Every policy, the baselines included, decides through _Decider.decide. It
+refuses a channel state outside the policy's channel and remembers the
+emission of each state the index interned, so deciding that state again is
+one lookup by identity.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelModel, CostModel
-from .media import MediaTrace, TraceValidationError, _bits, validate_trace
-from .priority import arrival_ordered, co_live_pairs, outranked_by, peel
+from .media import MediaTrace, TraceValidationError, _bits, close, validate_trace
+from .priority import PriorityGraph, _graph, arrival_ordered, co_live_pairs, outranked_by, peel
 from .single_packet import ThresholdPolicy, _check_inputs, act_single, solve_single
 
 
@@ -317,6 +318,25 @@ class _TraceIndex:
 @lru_cache(maxsize=32)
 def _index_for(trace: MediaTrace) -> _TraceIndex:
     return _TraceIndex(trace)
+
+
+def reachable_states(trace: MediaTrace, t: int) -> tuple[set[frozenset[int]], PriorityGraph]:
+    """Pending-set states a priority-respecting policy can occupy at slot t.
+
+    Returns the states (packets arriving exactly at t merged into each) and
+    the auxiliary graph over packets that arrived before t and are still
+    within deadline; edges additionally require the higher-ranked packet not
+    to arrive later, since a later arrival cannot precede in time. Both come
+    from the trace index, so an invalid trace raises TraceValidationError.
+    """
+    if t < 0:
+        raise ValueError("slot must be nonnegative")
+    idx = _index_for(trace)
+    if t > idx.horizon:
+        return {frozenset()}, PriorityGraph(frozenset(), frozenset())
+    nodes = idx.live_mask[t] & ~idx.arrive_mask[t]
+    aux = _graph(idx.ids, close([m & nodes for m in idx.aux_pred], list(_bits(nodes))), nodes)
+    return {idx.ids_of(pre | idx.arrive_mask[t]) for pre in idx.aux_tree_sets(t)}, aux
 
 
 # ---------------------------------------------------------------------------

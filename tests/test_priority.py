@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from mediasched import (
+    SCENARIOS,
     MediaTrace,
     Packet,
     PriorityGraph,
+    TraceValidationError,
     build_priority_graph,
     build_state_tree,
     disconnection_degree,
-    higher_priority,
     pg_to_dot,
     priority_pairs,
     reachable_states,
@@ -29,7 +30,8 @@ from mediasched import (
     tree_to_dot,
 )
 from mediasched import priority, synth_trace
-from mediasched.priority import arrival_ordered, co_live_pairs, outranked_by
+from mediasched.media import close
+from mediasched.priority import _graph, arrival_ordered, co_live_pairs, outranked_by, peel
 from mediasched.solver import _TraceIndex
 from conftest import pairwise_only, random_trace
 
@@ -47,6 +49,15 @@ def attr_trace(qs, ds) -> MediaTrace:
 CHAIN = attr_trace((10, 9, 8, 7, 6), (1, 2, 3, 4, 5))
 MIXED = attr_trace((10, 8, 9, 6, 7), (1, 2, 3, 4, 5))  # {2,3} and {4,5} unordered
 EDGELESS = attr_trace((6, 7, 8, 9, 10), (1, 2, 3, 4, 5))
+
+
+def order(trace, a, b) -> int:
+    """_order's verdict on the packets with ids a and b: 1 when a outranks
+    b, -1 when b outranks a, 0 when they are unordered."""
+    i, j = trace._pos[a], trace._pos[b]
+    desc, anc = trace.descendant_masks, trace.ancestor_masks
+    return priority._order(trace.by_id[a], trace.by_id[b], 1 << i, 1 << j,
+                           desc[i], desc[j], anc[i], anc[j])
 
 
 def relation_digraph(trace, ids) -> nx.DiGraph:
@@ -87,8 +98,8 @@ def test_dependency_outranks_attributes():
                    parents=frozenset({1})),
         )
     )
-    assert higher_priority(trace.by_id[1], trace.by_id[2], trace) == "j_before_k"
-    assert higher_priority(trace.by_id[2], trace.by_id[1], trace) == "k_before_j"
+    assert order(trace, 1, 2) == 1
+    assert order(trace, 2, 1) == -1
 
 
 def test_attribute_rule_needs_descendant_cover():
@@ -101,9 +112,9 @@ def test_attribute_rule_needs_descendant_cover():
         )
     )
     # 1 dominates 2 on weight and deadline but does not cover 2's dependent
-    assert higher_priority(trace.by_id[1], trace.by_id[2], trace) == "incomparable"
-    assert higher_priority(trace.by_id[1], trace.by_id[3], trace) == "j_before_k"
-    assert higher_priority(trace.by_id[2], trace.by_id[3], trace) == "j_before_k"
+    assert order(trace, 1, 2) == 0
+    assert order(trace, 1, 3) == 1
+    assert order(trace, 2, 3) == 1
     pg = build_priority_graph((1, 2, 3), trace)
     assert pg.edges == {(1, 3), (2, 3)}
     assert roots(pg) == {1, 2}
@@ -121,15 +132,15 @@ def test_attribute_rule_needs_ancestor_cover():
                    parents=frozenset({2})),
         )
     )
-    assert higher_priority(trace.by_id[3], trace.by_id[1], trace) == "incomparable"
-    assert higher_priority(trace.by_id[2], trace.by_id[3], trace) == "j_before_k"
+    assert order(trace, 3, 1) == 0
+    assert order(trace, 2, 3) == 1
     assert priority_pairs(trace, (1, 2, 3)) == {(2, 3)}
 
 
 def test_mutual_tie_resolves_to_lower_id():
     trace = attr_trace((5, 5), (2, 2))
-    assert higher_priority(trace.by_id[1], trace.by_id[2], trace) == "j_before_k"
-    assert higher_priority(trace.by_id[2], trace.by_id[1], trace) == "k_before_j"
+    assert order(trace, 1, 2) == 1
+    assert order(trace, 2, 1) == -1
     assert priority_pairs(trace, (1, 2)) == {(1, 2)}
 
 
@@ -142,16 +153,24 @@ def test_priority_pairs_match_pairwise_verdicts():
             (a, b)
             for a in ids
             for b in ids
-            if a != b
-            and higher_priority(trace.by_id[a], trace.by_id[b], trace) == "j_before_k"
+            if a != b and order(trace, a, b) == 1
         }
         assert priority_pairs(trace, ids) == expect
 
 
-def test_self_comparison_rejected():
-    trace = attr_trace((5,), (2,))
-    with pytest.raises(ValueError):
-        higher_priority(trace.by_id[1], trace.by_id[1], trace)
+def test_priority_pairs_checks_its_ids():
+    # Both id-set entry points share one frame: an unknown id is refused and
+    # a repeated id counts once, so no packet outranks itself.
+    trace = SCENARIOS["standard"]()[0]
+    for call in (lambda ids: priority_pairs(trace, ids),
+                 lambda ids: build_priority_graph(ids, trace)):
+        with pytest.raises(ValueError, match=r"unknown packet ids \[99\]"):
+            call([99])
+        with pytest.raises(ValueError, match=r"unknown packet ids \[-1, 99\]"):
+            call([99, 0, -1])
+    assert priority_pairs(trace, [0, 0]) == set()
+    assert priority_pairs(trace, [1, 0, 1, 0]) == priority_pairs(trace, [0, 1]) == {(0, 1)}
+    assert build_priority_graph([0, 0], trace) == build_priority_graph([0], trace)
 
 
 def test_build_priority_graph_rejects_unknown_ids():
@@ -163,7 +182,7 @@ def test_the_index_compares_co_live_pairs_as_all_pairs_do():
     # The index asks only about packets live in a common slot, the only
     # pairs a slot ever reads; there it must agree with the all-pairs
     # relation, which the id-set adapters keep using (checked against
-    # higher_priority by test_priority_pairs_match_pairwise_verdicts).
+    # _order by test_priority_pairs_match_pairwise_verdicts).
     rng = np.random.default_rng(62)
     apart = 0
     for k in range(200):
@@ -236,15 +255,6 @@ def test_disconnection_degree_matches_networkx():
             if b not in nx.descendants(g, a) and a not in nx.descendants(g, b)
         )
         assert disconnection_degree(pg) == expect
-
-
-def test_predecessors_successors_invert():
-    pg = build_priority_graph((1, 2, 3, 4, 5), MIXED)
-    pred = pg.predecessors()
-    succ = pg.successors()
-    for a in pg.nodes:
-        for b in pg.nodes:
-            assert (a in pred[b]) == (b in succ[a])
 
 
 # -- figure structures --------------------------------------------------------
@@ -373,6 +383,43 @@ def test_reachable_states_match_forward_simulation():
                 p.id for p in trace.packets if p.arrival < t <= p.deadline
             }
             assert states == forward_states(trace, t)
+
+
+def reference_reachable_states(trace, t):
+    """reachable_states from the all-pairs relation over the slot's carried
+    packets, computed apart from the trace index."""
+    if t < 0:
+        raise ValueError("slot must be nonnegative")
+    frame = tuple(sorted(p.id for p in trace.packets if p.arrival < t <= p.deadline))
+    pred = arrival_ordered(trace, frame, outranked_by(trace, frame))
+    full = (1 << len(frame)) - 1
+    aux = _graph(frame, close(pred), full)
+    arriving = trace.arrivals(t)
+    return {frozenset(frame[i] for i in range(len(frame)) if m >> i & 1) | arriving
+            for m in peel(full, pred)}, aux
+
+
+def test_reachable_states_match_the_all_pairs_reference():
+    # Half the traces have one packet size, so attribute edges (and the
+    # arrival filter on them) occur as well as dependency edges.
+    rng = np.random.default_rng(2027)
+    records = 0
+    for k in range(240):
+        trace = random_trace(rng, n=int(rng.integers(2, 9)), horizon=int(rng.integers(3, 12)),
+                             deps=True, gaps=k % 2 == 1, uniform=k % 4 < 2)
+        records += any(_TraceIndex(trace).dep_mask)
+        for t in range(trace.horizon + 3):
+            assert reachable_states(trace, t) == reference_reachable_states(trace, t)
+    assert records > 50  # traces with delivery records, after gaps too
+
+
+def test_reachable_states_validate_the_trace():
+    cyclic = MediaTrace(packets=(
+        Packet(id=1, size_bits=1.0, distortion=1.0, arrival=0, deadline=2, parents=frozenset({2})),
+        Packet(id=2, size_bits=1.0, distortion=1.0, arrival=0, deadline=2, parents=frozenset({1})),
+    ))
+    with pytest.raises(TraceValidationError, match="dependency cycle"):
+        reachable_states(cyclic, 1)
 
 
 def test_reachable_states_initial_slot():

@@ -19,7 +19,6 @@ from mediasched import (
     Packet,
     TraceValidationError,
     advance_state,
-    ancestors,
     averaged_channel,
     baseline_constant_channel,
     baseline_distortion_greedy,
@@ -88,8 +87,9 @@ def test_utility_accounting_matches_the_log():
         assert rel_close(res.cost, sum(alpha**s.t * s.cost for s in res.log), 1e-12)
         got_at = {pid: s.t for s in res.log for pid in s.delivered}
         assert res.delivered == frozenset(got_at)
+        delivered = sum(1 << trace._pos[pid] for pid in got_at)
         assert res.decodable == {
-            pid for pid in got_at if all(a in got_at for a in ancestors(trace, pid))
+            pid for pid in got_at if not trace.ancestor_masks[trace._pos[pid]] & ~delivered
         }
         gain = sum(alpha ** got_at[pid] * trace.by_id[pid].distortion
                    for pid in res.decodable)
@@ -447,11 +447,16 @@ def test_constant_baseline_decides_through_the_inner_memo():
     trace, channel, cost, alpha, lam = standard_scenario()
     constant = baseline_constant_channel(trace, channel, cost, alpha, lam)
     idx = solver._index_for(trace)
-    want = constant.inner.decide(JointState(0, trace.live(0), (), 0))
-    for h in range(channel.n_states):
-        assert constant.decide(idx.joint_state(0, idx.live_mask[0], 0, h)) == want
-    # every observed channel maps to the one interned channel-0 state
-    assert list(constant.inner._decided.values()) == [tuple(want)]
+    assert constant.idx is constant.inner.idx is idx
+    want = solve(trace, averaged_channel(channel), cost, alpha, lam).decide(
+        JointState(0, trace.live(0), (), 0))
+    states = [idx.joint_state(0, idx.live_mask[0], 0, h) for h in range(channel.n_states)]
+    for state in states:
+        assert constant.decide(state) == want
+    # every interned observed state is remembered by the constant baseline
+    # itself; the inner plan answers at channel 0 without its own memo
+    assert constant._decided == {id(state): tuple(want) for state in states}
+    assert constant.inner._decided == {}
 
 
 def test_monte_carlo_episodes_match_logged_episodes():
@@ -560,9 +565,8 @@ def test_interned_states_keep_every_refusal_and_decision(monkeypatch):
         trace = random_trace(rng, deps=True, uniform=True, gaps=True)
     channel, cost = random_channel(rng), CostModel(kind="convex", slot_duration=2.0)
     alpha, lam = 0.9, 0.5
-    # The constant baseline rebuilds each state at channel 0, so it is left out.
-    pols = [pol for pol in _roster(trace, channel, cost, alpha, lam)
-            if pol.name != "constant"] + [solve_exhaustive(trace, channel, cost, alpha, lam)]
+    pols = _roster(trace, channel, cost, alpha, lam) + [
+        solve_exhaustive(trace, channel, cost, alpha, lam)]
     first = monte_carlo(pols, trace, channel, cost, alpha, lam, 60, loss_rate=0.3, seed=9)
     idx = solver._index_for(trace)
     interned = list(idx._states.values())
@@ -646,6 +650,7 @@ def test_policies_refuse_a_channel_state_outside_the_channel(name):
         solve(trace, channel, cost, alpha, lam),
         baseline_myopic(trace, channel, cost, lam),
         baseline_distortion_greedy(trace, channel, cost, lam),
+        baseline_constant_channel(trace, channel, cost, alpha, lam),
         solve_exhaustive(trace, channel, cost, alpha, lam),
     ]
     for h in (-1, channel.n_states):
@@ -656,11 +661,12 @@ def test_policies_refuse_a_channel_state_outside_the_channel(name):
             if hasattr(pol, "state_value"):
                 with pytest.raises(ValueError, match="channel state"):
                     pol.state_value(state)
-        # the constant baseline ignores the observed state
-        constant = baseline_constant_channel(trace, channel, cost, alpha, lam)
-        assert constant.decide(state) == constant.decide(JointState(0, trace.live(0), (), 0))
     # nothing was evaluated into a memo on the way to the refusal
     assert not any(map(any, pols[1]._state_memo + pols[1]._post_memo))
+    # within the channel, the constant baseline ignores the observed state
+    constant, start = pols[3], JointState(0, trace.live(0), (), 0)
+    assert all(constant.decide(replace(start, channel=h)) == constant.decide(start)
+               for h in range(channel.n_states))
 
 
 def test_monte_carlo_looks_up_the_trace_index_once():

@@ -271,7 +271,10 @@ def cost_convex(bits: float, state: ChannelState, slot_duration: float) -> float
         raise ValueError("bits must be nonnegative")
     if slot_duration <= 0:
         raise ValueError("slot_duration must be positive")
-    return (2.0 ** (2.0 * bits / slot_duration) - 1.0) / state.gain
+    try:
+        return (2.0 ** (2.0 * bits / slot_duration) - 1.0) / state.gain
+    except OverflowError:  # float power raises where float division gives inf
+        return math.inf
 
 
 @dataclass(frozen=True)

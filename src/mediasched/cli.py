@@ -8,7 +8,8 @@ Subcommands:
 * simulate: Monte Carlo evaluation of one policy; per-episode and summary CSV.
 * compare: paired evaluation of the planner against the baselines (and the
   exhaustive reference when the trace is small enough).
-* inspect-graph: DOT renderings and counts for the priority structure.
+* inspect-graph: DOT renderings and counts for the priority graph and, with
+  --slot, for one slot's carried packets and the pending sets planned there.
 
 Exit codes: 0 success, 1 input or validation failure, 2 usage error.
 """
@@ -143,23 +144,20 @@ def _cmd_inspect_graph(args) -> int:
     trace = load_trace(pathlib.Path(args.trace).read_bytes())
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids = tuple(p.id for p in trace.packets)
-    pg = build_priority_graph(ids, trace)
-    tree = build_state_tree(pg)
-    phi = disconnection_degree(pg)
+    pg = build_priority_graph(tuple(p.id for p in trace.packets), trace)
     (out_dir / "priority.dot").write_text(pg_to_dot(pg))
-    (out_dir / "state_tree.dot").write_text(tree_to_dot(tree))
-    n = len(ids)
-    print(f"packets: {n}")
-    print(f"disconnection degree: {phi}")
-    print(f"distinct non-empty pending sets: {tree.distinct_nonempty_count}")
+    print(f"packets: {len(trace.packets)}")
+    print(f"disconnection degree: {disconnection_degree(pg)}")
     if args.slot is not None:
         states, aux = reachable_states(trace, args.slot)
-        aux_phi = disconnection_degree(aux)
         (out_dir / f"aux_slot{args.slot}.dot").write_text(pg_to_dot(aux))
+        (out_dir / f"state_tree_slot{args.slot}.dot").write_text(
+            tree_to_dot(build_state_tree(aux))
+        )
         print(
             f"slot {args.slot}: {len(aux.nodes)} carried packets, "
-            f"disconnection degree {aux_phi}, {len(states)} pending sets after arrivals"
+            f"disconnection degree {disconnection_degree(aux)}, "
+            f"{len(states)} pending sets after arrivals"
         )
     print(f"DOT files written to {out_dir}")
     return 0
@@ -197,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="summary CSV output path")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("inspect-graph", help="priority graph and state tree reports")
+    p = sub.add_parser("inspect-graph", help="priority graph and per-slot state tree reports")
     p.add_argument("--trace", required=True)
-    p.add_argument("--slot", type=int, help="also report the carried set at this slot")
+    p.add_argument("--slot", type=int, help="also report the carried set and its state tree")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_inspect_graph)
     return parser

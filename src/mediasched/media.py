@@ -154,9 +154,6 @@ class MediaTrace:
     def live(self, t: int) -> frozenset[int]:
         return frozenset(p.id for p in self.packets if p.arrival <= t <= p.deadline)
 
-    def arrivals(self, t: int) -> frozenset[int]:
-        return frozenset(p.id for p in self.packets if p.arrival == t)
-
 
 def validate_trace(trace: MediaTrace) -> list[str]:
     """Return a list of invariant violations, empty when the trace is sound."""

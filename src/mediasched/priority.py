@@ -37,13 +37,12 @@ class PriorityGraph:
 
 @dataclass(frozen=True)
 class StateTree:
-    root: PriorityGraph
-    nodes: frozenset[PriorityGraph]
-    edges: frozenset[tuple[frozenset[int], frozenset[int]]]
+    nodes: frozenset[frozenset[int]]  # the pending sets
+    edges: frozenset[tuple[frozenset[int], frozenset[int]]]  # (set, set less one root)
 
     @property
     def distinct_nonempty_count(self) -> int:
-        return sum(1 for g in self.nodes if g.nodes)
+        return sum(1 for s in self.nodes if s)
 
 
 def _order(
@@ -234,14 +233,10 @@ def build_state_tree(pg: PriorityGraph) -> StateTree:
     unordered, the nonempty count is |nodes| + disconnection_degree(pg).
     """
     frame, pred = _masks(pg.nodes, pg.edges)
-    closed = close(pred)
-    full = (1 << len(frame)) - 1
-    family = peel(full, pred)
-    graphs = {m: pg if m == full else _graph(frame, closed, m) for m in family}
-    edges = frozenset(
-        (graphs[m].nodes, graphs[c].nodes) for m, kids in family.items() for c in kids
-    )
-    return StateTree(root=pg, nodes=frozenset(graphs.values()), edges=edges)
+    family = peel((1 << len(frame)) - 1, pred)
+    sets = {m: _ids(frame, m) for m in family}
+    edges = frozenset((sets[m], sets[c]) for m, kids in family.items() for c in kids)
+    return StateTree(nodes=frozenset(sets.values()), edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +262,8 @@ def tree_to_dot(tree: StateTree) -> str:
         return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
     lines = ["digraph pending_sets {"]
-    for g in sorted(tree.nodes, key=lambda g: (len(g.nodes), sorted(g.nodes))):
-        lines.append(f'  {set_id(g.nodes)} [label="{label(g.nodes)}"];')
+    for s in sorted(tree.nodes, key=lambda s: (len(s), sorted(s))):
+        lines.append(f'  {set_id(s)} [label="{label(s)}"];')
     for parent, child in sorted(tree.edges, key=lambda e: (len(e[0]), sorted(e[0]), sorted(e[1]))):
         lines.append(f"  {set_id(parent)} -> {set_id(child)};")
     lines.append("}")

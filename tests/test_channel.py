@@ -343,6 +343,9 @@ def test_cost_values():
     assert cost_convex(0.0, st, 2.0) == 0.0
     # 2 bits over 2 time units: (2^2 - 1) / gain
     assert cost_convex(2.0, st, 2.0) == pytest.approx(3.0 / 4.0)
+    # the power overflows a float; the cost is infinite, as cost_linear's would be
+    assert cost_convex(5000.0, st, 2.0) == float("inf")
+    assert cost_convex(1.0, st, 1e-300) == float("inf")
     with pytest.raises(ValueError):
         cost_linear(-1.0, st)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,24 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mediasched import MediaTrace, Packet, dump_channel, dump_trace, volatile_scenario
+from mediasched import (
+    CostModel,
+    MediaTrace,
+    Packet,
+    build_priority_graph,
+    build_state_tree,
+    disconnection_degree,
+    dump_channel,
+    dump_trace,
+    load_channel,
+    load_trace,
+    pg_to_dot,
+    reachable_states,
+    solve,
+    synth_trace,
+    tree_to_dot,
+    volatile_scenario,
+)
 from mediasched.cli import main
 
 
@@ -160,22 +178,75 @@ def test_compare_includes_the_exhaustive_reference(volatile_dir, tmp_path, capsy
                                         "constant", "oracle"]
 
 
+def inspect_slot(trace_path, out_dir, slot, capsys):
+    """Run inspect-graph at one slot; its stdout lines and the names it wrote."""
+    rc = main(["inspect-graph", "--trace", str(trace_path), "--slot", str(slot),
+               "--out-dir", str(out_dir)])
+    assert rc == 0
+    return capsys.readouterr().out.splitlines(), {f.name for f in out_dir.iterdir()}
+
+
 def test_inspect_graph_reports_counts_and_dot_files(standard_dir, tmp_path, capsys):
     out_dir = tmp_path / "graphs"
-    rc = main([
-        "inspect-graph",
-        "--trace", str(standard_dir / "trace.json"),
-        "--slot", "3",
-        "--out-dir", str(out_dir),
-    ])
-    assert rc == 0
-    for name in ("priority.dot", "state_tree.dot", "aux_slot3.dot"):
-        assert (out_dir / name).exists()
-    out = capsys.readouterr().out
-    assert "packets: 6" in out
-    assert "disconnection degree:" in out
-    assert "distinct non-empty pending sets:" in out
-    assert "slot 3:" in out
+    lines, written = inspect_slot(standard_dir / "trace.json", out_dir, 3, capsys)
+    assert written == {"priority.dot", "aux_slot3.dot", "state_tree_slot3.dot"}
+    trace = load_trace((standard_dir / "trace.json").read_bytes())
+    pg = build_priority_graph([p.id for p in trace.packets], trace)
+    states, aux = reachable_states(trace, 3)
+    tree = build_state_tree(aux)
+    assert (out_dir / "priority.dot").read_text() == pg_to_dot(pg)
+    assert (out_dir / "aux_slot3.dot").read_text() == pg_to_dot(aux)
+    assert (out_dir / "state_tree_slot3.dot").read_text() == tree_to_dot(tree)
+    assert len(tree.nodes) == len(states)
+    assert lines == [
+        "packets: 6",
+        f"disconnection degree: {disconnection_degree(pg)}",
+        f"slot 3: {len(aux.nodes)} carried packets, disconnection degree "
+        f"{disconnection_degree(aux)}, {len(states)} pending sets after arrivals",
+        f"DOT files written to {out_dir}",
+    ]
+
+
+def test_inspect_graph_shows_the_slot_family_of_a_long_trace(tmp_path, capsys):
+    # The pending sets of the whole trace's graph number 2^Theta(GOPs); one
+    # slot's family stays small, and it is the one the solver plans over.
+    trace = synth_trace(24, 4, 2, (9, 6, 4, 3), seed=1)
+    path = tmp_path / "gop.json"
+    path.write_text(dump_trace(trace))
+    out_dir = tmp_path / "gop"
+    lines, written = inspect_slot(path, out_dir, 8, capsys)
+    assert written == {"priority.dot", "aux_slot8.dot", "state_tree_slot8.dot"}
+    tree = build_state_tree(reachable_states(trace, 8)[1])
+    assert (out_dir / "state_tree_slot8.dot").read_text() == tree_to_dot(tree)
+    assert lines[0] == "packets: 96"
+    assert lines[2] == (
+        "slot 8: 4 carried packets, disconnection degree 0, 5 pending sets after arrivals"
+    )
+    assert len(tree.nodes) == 5
+
+
+def test_an_overflowing_convex_cost_is_infinite_not_a_crash(standard_dir, tmp_path):
+    # 2^(2 * 5000 / 2) and 2^(2 / 1e-300) overflow a float: the packet is never sent
+    trace = MediaTrace(packets=(
+        Packet(id=1, size_bits=5000.0, distortion=5.0, arrival=0, deadline=2),
+    ))
+    channel = load_channel((standard_dir / "channel.json").read_bytes())
+    policy = solve(trace, channel, CostModel(kind="convex"), 0.95, 1.0)
+    assert policy.to_dump_dict()["initial_values"] == [0.0, 0.0]
+    big = tmp_path / "big.json"
+    big.write_text(dump_trace(trace))
+    for trace_path, slot_duration in ((big, "2.0"), (standard_dir / "trace.json", "1e-300")):
+        args = ["--trace", str(trace_path), "--channel", str(standard_dir / "channel.json"),
+                "--cost", "convex", "--slot-duration", slot_duration]
+        out = tmp_path / "policy.json"
+        assert main(["solve", *args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["initial_values"] == [0.0, 0.0]
+        summ = tmp_path / "summary.csv"
+        assert main(["compare", *args, "--episodes", "50", "--loss-rate", "0.1",
+                     "--out", str(summ)]) == 0
+        rows = read_csv(summ)
+        assert len(rows) == 6
+        assert all(math.isfinite(float(x)) for r in rows[1:] for x in r[2:])
 
 
 def test_missing_file_fails_cleanly(tmp_path, capsys):

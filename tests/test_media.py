@@ -45,8 +45,6 @@ def test_basic_trace_properties():
     assert trace.has_dependencies
     assert trace.live(1) == {3, 7}
     assert trace.live(3) == {7}
-    assert trace.arrivals(1) == {7}
-    assert trace.arrivals(2) == frozenset()
 
 
 def test_empty_trace_horizon():

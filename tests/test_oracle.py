@@ -148,7 +148,7 @@ def brute_value(trace, channel, cost, alpha, lam, t, pending, record, h):
             )
         nxt_pending = {
             pid for pid in pending if pid not in tx and trace.by_id[pid].deadline > t
-        } | set(trace.arrivals(t + 1))
+        } | {p.id for p in trace.packets if p.arrival == t + 1}
         nxt_record = {}
         for k in trace.packets:
             if k.deadline >= t + 1:
@@ -209,7 +209,7 @@ def test_decide_is_bellman_consistent():
                     for pid in state.pending
                     if pid not in batch and trace.by_id[pid].deadline > 0
                 )
-                | trace.arrivals(1),
+                | {p.id for p in trace.packets if p.arrival == 1},
                 tuple(
                     (k.id, k.id not in state.pending or k.id in batch)
                     for k in trace.packets

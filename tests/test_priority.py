@@ -303,8 +303,7 @@ def test_tree_nodes_match_downclosed_subsets():
         g.add_edges_from(edges)
         succ_c = {n: nx.descendants(g, n) for n in nodes}
         tree = build_state_tree(PriorityGraph(frozenset(nodes), frozenset(edges)))
-        family = {pg.nodes for pg in tree.nodes}
-        assert family == downclosed_family(nodes, succ_c)
+        assert tree.nodes == downclosed_family(nodes, succ_c)
 
 
 def test_pair_formula_on_pairwise_only_dags():
@@ -322,25 +321,24 @@ def test_pair_formula_on_pairwise_only_dags():
         g.add_nodes_from(nodes)
         g.add_edges_from(edges)
         tree = build_state_tree(PriorityGraph(frozenset(nodes), frozenset(edges)))
-        family = {pg.nodes for pg in tree.nodes}
         phi = sum(
             1
             for a, b in combinations(sorted(nodes), 2)
             if b not in nx.descendants(g, a) and a not in nx.descendants(g, b)
         )
-        assert len(family) - 1 == len(nodes) + phi
+        assert len(tree.nodes) - 1 == len(nodes) + phi
 
 
 def test_state_tree_edges_drop_one_root():
     pg = build_priority_graph((1, 2, 3, 4, 5), MIXED)
     tree = build_state_tree(pg)
-    by_set = {g.nodes: g for g in tree.nodes}
-    assert tree.root == by_set[frozenset({1, 2, 3, 4, 5})]
+    assert pg.nodes in tree.nodes
     for parent, child in tree.edges:
         assert len(parent - child) == 1
         (dropped,) = parent - child
-        assert dropped in roots(by_set[parent])
-    assert frozenset() in by_set
+        # a root of the parent set: nothing inside it outranks the dropped packet
+        assert not {a for a, b in pg.edges if b == dropped} & parent
+    assert frozenset() in tree.nodes
 
 
 # -- slot-indexed reachability --------------------------------------------------
@@ -361,11 +359,11 @@ def legal_batches(trace, present):
 
 
 def forward_states(trace, t) -> set[frozenset[int]]:
-    states = {frozenset(trace.arrivals(0))}
+    states = {frozenset(p.id for p in trace.packets if p.arrival == 0)}
     for u in range(t):
         nxt = set()
         expiring = {p.id for p in trace.packets if p.deadline == u}
-        arriving = trace.arrivals(u + 1)
+        arriving = {p.id for p in trace.packets if p.arrival == u + 1}
         for cur in states:
             for batch in legal_batches(trace, cur):
                 nxt.add(frozenset((cur - batch - expiring) | arriving))
@@ -394,7 +392,7 @@ def reference_reachable_states(trace, t):
     pred = arrival_ordered(trace, frame, outranked_by(trace, frame))
     full = (1 << len(frame)) - 1
     aux = _graph(frame, close(pred), full)
-    arriving = trace.arrivals(t)
+    arriving = frozenset(p.id for p in trace.packets if p.arrival == t)
     return {frozenset(frame[i] for i in range(len(frame)) if m >> i & 1) | arriving
             for m in peel(full, pred)}, aux
 
@@ -425,7 +423,7 @@ def test_reachable_states_validate_the_trace():
 def test_reachable_states_initial_slot():
     trace = random_trace(np.random.default_rng(2), n=5, horizon=6)
     states, aux = reachable_states(trace, 0)
-    assert states == {trace.arrivals(0)}
+    assert states == {frozenset(p.id for p in trace.packets if p.arrival == 0)}
     assert aux.nodes == frozenset()
     with pytest.raises(ValueError):
         reachable_states(trace, -1)

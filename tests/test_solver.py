@@ -192,7 +192,7 @@ def test_step_record_matches_the_definition():
                     assert not nxt & ~idx.dep_mask[t + 1]
                     assert idx.ids_of(nxt_pending) == (
                         (idx.ids_of(pending & ~tx) & trace.live(t + 1))
-                        | trace.arrivals(t + 1)
+                        | {p.id for p in trace.packets if p.arrival == t + 1}
                     )
     assert fresh > 500
 

@@ -142,6 +142,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_inspect_graph(args) -> int:
     trace = load_trace(pathlib.Path(args.trace).read_bytes())
+    if args.slot is not None:  # a bad slot is refused before any output
+        states, aux = reachable_states(trace, args.slot)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pg = build_priority_graph(tuple(p.id for p in trace.packets), trace)
@@ -149,7 +151,6 @@ def _cmd_inspect_graph(args) -> int:
     print(f"packets: {len(trace.packets)}")
     print(f"disconnection degree: {disconnection_degree(pg)}")
     if args.slot is not None:
-        states, aux = reachable_states(trace, args.slot)
         (out_dir / f"aux_slot{args.slot}.dot").write_text(pg_to_dot(aux))
         (out_dir / f"state_tree_slot{args.slot}.dot").write_text(
             tree_to_dot(build_state_tree(aux))

@@ -212,12 +212,6 @@ def build_priority_graph(ids, trace: MediaTrace) -> PriorityGraph:
     return _graph(frame, close(outranked_by(trace, frame)), (1 << len(frame)) - 1)
 
 
-def roots(pg: PriorityGraph) -> frozenset[int]:
-    """Nodes with no higher-ranked node in the graph."""
-    blocked = {b for _, b in pg.edges}
-    return frozenset(pg.nodes - blocked)
-
-
 def disconnection_degree(pg: PriorityGraph) -> int:
     """Unordered node pairs with no directed path either way."""
     frame, pred = _masks(pg.nodes, pg.edges)

@@ -66,9 +66,10 @@ def run_episode(
     _check_episode_args(channel, alpha, lam, loss_rate)
     log: list[SlotLog] = []
     losses = _LossDraws(seed) if loss_rate > 0.0 else None
-    powers, prices = [alpha**t for t in range(idx.horizon + 1)], [{} for _ in channel.states]
+    powers = [alpha**t for t in range(idx.horizon + 1)]
     gain, total_cost, delivered, decodable = _episode(
-        policy, idx, trace, channel, channel_path, cost, powers, loss_rate, losses, prices, {}, log)
+        policy, idx, trace, channel, channel_path, cost, powers, loss_rate, losses,
+        *_memo(idx, channel, cost), log)
     return EpisodeResult(
         utility=gain - lam * total_cost,
         distortion_gain=gain,
@@ -77,6 +78,12 @@ def run_episode(
         decodable=frozenset(decodable),
         log=tuple(log),
     )
+
+
+def _memo(idx, channel, cost):
+    """The index's prices and slot memo for this channel and cost (see _episode)."""
+    fresh = [{} for _ in channel.states], {}
+    return idx.episode_memos.setdefault((channel.states, cost), fresh)
 
 
 def _check_episode_args(channel, alpha, lam, loss_rate):
@@ -112,30 +119,35 @@ def _episode(policy, idx, trace, channel, path, cost, powers, loss_rate, losses,
              log=None):
     """One checked episode: its gain, discounted cost, delivery slot per
     delivered id and decodable ids. powers[t] is alpha**t; losses is the
-    episode's _LossDraws, None without loss. prices[h] keeps batch_cost per
-    mask in channel state h, and slots is the policy's memo, both for the
-    whole calling run. A SlotLog per slot goes to log when one is given."""
+    episode's _LossDraws, None without loss. prices[h] (batch_cost per mask
+    in channel state h) and slots live on the index, keyed by channel states
+    and cost (_memo): every policy, call and run_episode shares them until
+    the index goes, with at most one slot per interned state. A SlotLog per
+    slot goes to log when one is given."""
     pending, dmask = idx.live_mask[0], 0
     delivered, delivered_slot = 0, {}
     total_cost, read = 0.0, 0
     for t, h in enumerate(path[:idx.horizon + 1]):
-        # slots: (t, pending, record, h) -> the interned state, the emission
-        # decide gave in it, its mask and cost, and the masks of slot t + 1
-        # when nothing is lost. decide still sees every slot; an answer other
-        # than the one remembered is checked and priced anew.
+        # slots: (t, pending, record, h) -> the interned state and, per
+        # emission any policy gave in it, its mask and cost and the masks of
+        # slot t + 1 when nothing is lost. decide still sees every slot; an
+        # answer not remembered is checked and priced anew.
         key = (t, pending, dmask, h)
         slot = slots.get(key)
-        state = idx.joint_state(*key) if slot is None else slot[0]
+        if slot is None:
+            slot = slots[key] = idx.joint_state(*key), {}
+        state, answers = slot
         attempted = tuple(policy.decide(state))
-        if slot is None or slot[1] != attempted:
+        hit = answers.get(attempted)
+        if hit is None:
             tx = idx.mask_of(attempted)
             if tx & ~pending:
                 raise ValueError(f"{policy.name} attempted packets outside pending")
             slot_cost = prices[h].get(tx)
             if slot_cost is None:
                 slot_cost = prices[h][tx] = idx.batch_cost(tx, channel.states[h], cost)
-            slot = slots[key] = state, attempted, tx, slot_cost, idx.step(t, pending, dmask, tx)
-        _, _, tx, slot_cost, nxt = slot
+            hit = answers[attempted] = tx, slot_cost, idx.step(t, pending, dmask, tx)
+        tx, slot_cost, nxt = hit
         total_cost += powers[t] * slot_cost
         got = attempted
         if losses is not None and attempted:
@@ -202,17 +214,17 @@ def monte_carlo(
         raise ValueError("policy names must be distinct, as the reports are keyed by name")
     idx = _index_for(trace)
     _check_episode_args(channel, alpha, lam, loss_rate)
-    powers, prices = [alpha**t for t in range(idx.horizon + 1)], [{} for _ in channel.states]
+    powers = [alpha**t for t in range(idx.horizon + 1)]
+    prices, slots = _memo(idx, channel, cost)
     # Episode i reads the streams of default_rng(seed + i) for its path and
     # default_rng(seed * 1_000_003 + i) for its losses, which all policies share.
     loss_seed = seed * 1_000_003
     paths = path_sampler(channel)(idx.horizon, range(seed, seed + episodes))
     firsts = (_uniform_rows(range(loss_seed, loss_seed + episodes), _LOSS_BLOCK)
               if loss_rate > 0.0 else repeat(None))
-    memos = [{} for _ in policies]  # each policy's slots, kept for the call
     for i, path, first in zip(range(episodes), paths, firsts):
         losses = _LossDraws(loss_seed + i, first) if loss_rate > 0.0 else None
-        for pol, slots in zip(policies, memos):
+        for pol in policies:
             gain, total_cost, delivered, _ = _episode(
                 pol, idx, trace, channel, path, cost, powers, loss_rate, losses, prices, slots)
             u, g, c, d = acc[pol.name]

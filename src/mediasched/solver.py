@@ -35,7 +35,10 @@ _TraceIndex.dep_mask[t] (expired packets that a live or later-arriving packet
 references, even after a gap) appear in slot t's record, whose values are the
 submasks of that mask. _TraceIndex alone reads or writes this encoding,
 and it interns the public JointState of each (t, pending, record, channel)
-it builds, so decoding an equal state again is one lookup.
+it builds, so decoding an equal state again is one lookup. It also keeps
+the simulator's episode memos by (channel states, cost): every policy,
+monte_carlo call and run_episode shares them, with at most one slot entry
+per interned state, until the index leaves _index_for's 32-trace cache.
 
 Every value table holds one row over channel states per (pending set,
 record) pair, as the exhaustive reference does. Post-decision rows are keyed
@@ -147,6 +150,8 @@ class _TraceIndex:
         # decodes a state equal to one built or checked before by lookup.
         self._states: dict[tuple[int, int, int, int], JointState] = {}
         self._masks: dict[JointState, tuple[int, int]] = {}
+        # (channel.states, cost) -> prices and slots, as sim._episode fills them
+        self.episode_memos: dict[tuple, tuple[list[dict], dict]] = {}
 
     def _build_dep_masks(self):
         """Per slot, the expired packets whose delivery state still matters:

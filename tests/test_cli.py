@@ -225,6 +225,19 @@ def test_inspect_graph_shows_the_slot_family_of_a_long_trace(tmp_path, capsys):
     assert len(tree.nodes) == 5
 
 
+def test_inspect_graph_refuses_a_negative_slot_before_any_output(standard_dir, tmp_path, capsys):
+    out_dir = tmp_path / "graphs"
+    out_dir.mkdir()
+    capsys.readouterr()
+    rc = main(["inspect-graph", "--trace", str(standard_dir / "trace.json"), "--slot", "-1",
+               "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines()[0].startswith("error:")
+    assert list(out_dir.iterdir()) == []
+
+
 def test_an_overflowing_convex_cost_is_infinite_not_a_crash(standard_dir, tmp_path):
     # 2^(2 * 5000 / 2) and 2^(2 / 1e-300) overflow a float: the packet is never sent
     trace = MediaTrace(packets=(

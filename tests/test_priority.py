@@ -26,7 +26,6 @@ from mediasched import (
     pg_to_dot,
     priority_pairs,
     reachable_states,
-    roots,
     tree_to_dot,
 )
 from mediasched import priority, synth_trace
@@ -117,7 +116,11 @@ def test_attribute_rule_needs_descendant_cover():
     assert order(trace, 2, 3) == 1
     pg = build_priority_graph((1, 2, 3), trace)
     assert pg.edges == {(1, 3), (2, 3)}
-    assert roots(pg) == {1, 2}
+    # peeling either root off the full set leaves the other root with 3
+    full = frozenset({1, 2, 3})
+    tree = build_state_tree(pg)
+    assert {child for parent, child in tree.edges if parent == full} == {
+        frozenset({2, 3}), frozenset({1, 3})}
     assert disconnection_degree(pg) == 1
 
 

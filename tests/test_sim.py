@@ -420,27 +420,80 @@ def test_block_drawn_loss_draws_continue_the_per_slot_stream():
 
 
 def test_lossless_slots_build_one_mask_each(monkeypatch):
-    # A slot's attempted mask is built once per distinct state it is decided
-    # in; only a slot with a loss builds a mask of its delivered ids.
+    # A cold index builds a slot's attempted mask once per distinct (state,
+    # answer) pair, and a mask of the delivered ids only in a slot with a
+    # loss. The slot memo stays on the index, so the same call again builds
+    # masks only for lossy slots and prices nothing.
     trace, channel, cost, alpha, lam = standard_scenario()
-    rec = Recorder(solve(trace, channel, cost, alpha, lam))
-    idx = solver._index_for(trace)
     for loss, episodes in ((0.0, 5), (0.2, 40)):
+        pol = solve(trace, channel, cost, alpha, lam)
         lossy = sum(slot.delivered != slot.attempted
                     for i in range(episodes)
-                    for slot in run_episode(rec, trace, channel,
+                    for slot in run_episode(pol, trace, channel,
                                             sample_path(channel, trace.horizon, i),
                                             cost, alpha, lam, loss_rate=loss, seed=i).log)
         assert lossy > 0 if loss else lossy == 0
-        rec.states.clear()
-        calls = []
-        mask_of = idx.mask_of
-        monkeypatch.setattr(idx, "mask_of", lambda ids: calls.append(1) or mask_of(ids))
-        monte_carlo([rec], trace, channel, cost, alpha, lam, episodes, loss_rate=loss)
-        monkeypatch.undo()
-        distinct = len({id(state) for state in rec.states})
-        assert len(rec.states) == episodes * (trace.horizon + 1) > distinct
-        assert len(calls) == distinct + lossy
+        solver._index_for.cache_clear()  # a cold memo
+        rec = Recorder(solve(trace, channel, cost, alpha, lam))
+        idx = solver._index_for(trace)
+        assert rec.inner.idx is idx and not idx.episode_memos
+        for run in range(2):
+            masks, prices = [], []
+            mask_of, batch_cost = idx.mask_of, idx.batch_cost
+            monkeypatch.setattr(idx, "mask_of", lambda ids: masks.append(1) or mask_of(ids))
+            monkeypatch.setattr(idx, "batch_cost",
+                                lambda *a: prices.append(1) or batch_cost(*a))
+            monte_carlo([rec], trace, channel, cost, alpha, lam, episodes, loss_rate=loss)
+            monkeypatch.undo()
+            if run == 0:
+                pairs = {(id(state), tuple(rec.inner.decide(state))) for state in rec.states}
+                assert len(rec.states) == episodes * (trace.horizon + 1) > len(pairs)
+                assert len(masks) == len(pairs) + lossy
+            else:
+                assert len(masks) == lossy and prices == []
+        assert all(len(slots) <= len(idx._states) for _, slots in idx.episode_memos.values())
+
+
+def test_the_slot_memo_is_keyed_by_channel_states_and_cost():
+    # Two channels with one transition matrix draw the same paths, so only
+    # their states tell their slot costs apart; four cost models share them.
+    # Every call, made in turn on one warm index, equals the call made again
+    # on a cold one.
+    trace, _, _, alpha, lam = standard_scenario()
+    channels = [ChannelModel(
+        states=tuple(ChannelState(id=h, gain=g, rate=r, loss_prob=0.0)
+                     for h, (g, r) in enumerate(zip(gains, rates))),
+        transition=np.array([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]),
+        initial=np.array([0.3, 0.4, 0.3]),
+    ) for gains, rates in (((0.5, 1.5, 4.0), (0.25, 0.75, 2.0)),
+                           ((0.8, 2.0, 3.0), (0.5, 1.0, 1.25)))]
+    costs = [CostModel(kind, slot_duration=d) for kind in ("linear", "convex") for d in (2.0, 3.0)]
+    solver._index_for.cache_clear()
+    calls = []
+    for k, (channel, cost, loss) in enumerate(product(channels, costs, (0.0, 0.2))):
+        pols = [solve(trace, channel, cost, alpha, lam),
+                baseline_distortion_greedy(trace, channel, cost, lam)]
+        for seed in (k, 100 + k):
+            calls += [
+                partial(monte_carlo, pols, trace, channel, cost, alpha, lam, 8,
+                        loss_rate=loss, seed=seed),
+                partial(run_episode, pols[seed % 2], trace, channel,
+                        sample_path(channel, trace.horizon, seed), cost, alpha, lam,
+                        loss_rate=loss, seed=seed),
+            ]
+
+    def outputs(res):
+        if isinstance(res, dict):
+            return [(r.utilities.tobytes(), r.gains.tobytes(), r.costs.tobytes(),
+                     r.delivered_counts.tobytes()) for r in res.values()]
+        return repr((res.utility, res.distortion_gain, res.cost, res.log))
+
+    order = calls[0::2] + calls[1::2]  # every configuration, then each again
+    warm = [outputs(call()) for call in order]
+    assert len(solver._index_for(trace).episode_memos) == len(channels) * len(costs)
+    for call, want in zip(order, warm):
+        solver._index_for.cache_clear()
+        assert outputs(call()) == want
 
 
 def test_constant_baseline_decides_through_the_inner_memo():
@@ -510,8 +563,8 @@ class Revisits:
 
 
 def test_a_new_answer_on_a_revisit_is_honoured():
-    # monte_carlo's slot memo serves a state only while decide repeats itself;
-    # run_episode keeps a memo for one episode, where no state comes back.
+    # The index's slot memo serves only an answer decide gave there before;
+    # a new one is checked and priced. monte_carlo and run_episode share it.
     trace, channel, cost, alpha, lam = standard_scenario()
 
     def fewer(state, out):

@@ -425,6 +425,17 @@ def test_lossless_slots_build_one_mask_each(monkeypatch):
     # loss. The slot memo stays on the index, so the same call again builds
     # masks only for lossy slots and prices nothing.
     trace, channel, cost, alpha, lam = standard_scenario()
+
+    def counted(idx, call):
+        """mask_of and batch_cost calls on idx while call runs."""
+        masks, prices = [], []
+        mask_of, batch_cost = idx.mask_of, idx.batch_cost
+        monkeypatch.setattr(idx, "mask_of", lambda ids: masks.append(1) or mask_of(ids))
+        monkeypatch.setattr(idx, "batch_cost", lambda *a: prices.append(1) or batch_cost(*a))
+        call()
+        monkeypatch.undo()
+        return len(masks), len(prices)
+
     for loss, episodes in ((0.0, 5), (0.2, 40)):
         pol = solve(trace, channel, cost, alpha, lam)
         lossy = sum(slot.delivered != slot.attempted
@@ -437,20 +448,13 @@ def test_lossless_slots_build_one_mask_each(monkeypatch):
         rec = Recorder(solve(trace, channel, cost, alpha, lam))
         idx = solver._index_for(trace)
         assert rec.inner.idx is idx and not idx.episode_memos
-        for run in range(2):
-            masks, prices = [], []
-            mask_of, batch_cost = idx.mask_of, idx.batch_cost
-            monkeypatch.setattr(idx, "mask_of", lambda ids: masks.append(1) or mask_of(ids))
-            monkeypatch.setattr(idx, "batch_cost",
-                                lambda *a: prices.append(1) or batch_cost(*a))
-            monte_carlo([rec], trace, channel, cost, alpha, lam, episodes, loss_rate=loss)
-            monkeypatch.undo()
-            if run == 0:
-                pairs = {(id(state), tuple(rec.inner.decide(state))) for state in rec.states}
-                assert len(rec.states) == episodes * (trace.horizon + 1) > len(pairs)
-                assert len(masks) == len(pairs) + lossy
-            else:
-                assert len(masks) == lossy and prices == []
+        call = partial(monte_carlo, [rec], trace, channel, cost, alpha, lam, episodes,
+                       loss_rate=loss)
+        masks, _ = counted(idx, call)
+        pairs = {(id(state), tuple(rec.inner.decide(state))) for state in rec.states}
+        assert len(rec.states) == episodes * (trace.horizon + 1) > len(pairs)
+        assert masks == len(pairs) + lossy
+        assert counted(idx, call) == (lossy, 0)
         assert all(len(slots) <= len(idx._states) for _, slots in idx.episode_memos.values())
 
 
@@ -469,15 +473,17 @@ def test_the_slot_memo_is_keyed_by_channel_states_and_cost():
                            ((0.8, 2.0, 3.0), (0.5, 1.0, 1.25)))]
     costs = [CostModel(kind, slot_duration=d) for kind in ("linear", "convex") for d in (2.0, 3.0)]
     solver._index_for.cache_clear()
+    configs = [(channel, cost, loss, [solve(trace, channel, cost, alpha, lam),
+                                      baseline_distortion_greedy(trace, channel, cost, lam)])
+               for channel, cost, loss in product(channels, costs, (0.0, 0.2))]
     calls = []
-    for k, (channel, cost, loss) in enumerate(product(channels, costs, (0.0, 0.2))):
-        pols = [solve(trace, channel, cost, alpha, lam),
-                baseline_distortion_greedy(trace, channel, cost, lam)]
-        for seed in (k, 100 + k):
+    for round_ in range(2):  # every configuration, then each again on new seeds
+        for k, (channel, cost, loss, pols) in enumerate(configs):
+            seed = 100 * round_ + k
             calls += [
                 partial(monte_carlo, pols, trace, channel, cost, alpha, lam, 8,
                         loss_rate=loss, seed=seed),
-                partial(run_episode, pols[seed % 2], trace, channel,
+                partial(run_episode, pols[k % 2], trace, channel,
                         sample_path(channel, trace.horizon, seed), cost, alpha, lam,
                         loss_rate=loss, seed=seed),
             ]
@@ -488,10 +494,9 @@ def test_the_slot_memo_is_keyed_by_channel_states_and_cost():
                      r.delivered_counts.tobytes()) for r in res.values()]
         return repr((res.utility, res.distortion_gain, res.cost, res.log))
 
-    order = calls[0::2] + calls[1::2]  # every configuration, then each again
-    warm = [outputs(call()) for call in order]
+    warm = [outputs(call()) for call in calls]
     assert len(solver._index_for(trace).episode_memos) == len(channels) * len(costs)
-    for call, want in zip(order, warm):
+    for call, want in zip(calls, warm):
         solver._index_for.cache_clear()
         assert outputs(call()) == want
 

@@ -73,6 +73,13 @@ class MediaTrace:
     packets: tuple[Packet, ...]
 
     @cached_property
+    def _hash(self) -> int:  # the generated hash, which walks every packet, once
+        return hash((self.packets,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def horizon(self) -> int:
         """Largest deadline in the trace, 0 when empty."""
         return max((p.deadline for p in self.packets), default=0)
@@ -193,6 +200,8 @@ def validate_trace(trace: MediaTrace) -> list[str]:
                 out.append(
                     f"packet {p.id}: parent {parent} expires later ({par.deadline} > {p.deadline})"
                 )
+    if not math.isfinite(sum(p.distortion for p in trace.packets if math.isfinite(p.distortion))):
+        out.append("distortions must add up to a finite total, which bounds every value")
     anc = trace.ancestor_masks
     looped = sorted(p.id for i, p in enumerate(trace.packets) if anc[i] >> i & 1)
     if looped:

@@ -81,7 +81,7 @@ def run_episode(
 
 
 def _memo(idx, channel, cost):
-    """The index's prices and slot memo for this channel and cost (see _episode)."""
+    """The index's prices and slot memo for this channel and cost, alive with it (see _episode)."""
     fresh = [{} for _ in channel.states], {}
     return idx.episode_memos.setdefault((channel.states, cost), fresh)
 
@@ -121,8 +121,8 @@ def _episode(policy, idx, trace, channel, path, cost, powers, loss_rate, losses,
     delivered id and decodable ids. powers[t] is alpha**t; losses is the
     episode's _LossDraws, None without loss. prices[h] (batch_cost per mask
     in channel state h) and slots live on the index, keyed by channel states
-    and cost (_memo): every policy, call and run_episode shares them until
-    the index goes, with at most one slot per interned state. A SlotLog per
+    and cost (_memo): every policy, call and run_episode shares them while
+    the index lives, with at most one slot per interned state. A SlotLog per
     slot goes to log when one is given."""
     pending, dmask = idx.live_mask[0], 0
     delivered, delivered_slot = 0, {}

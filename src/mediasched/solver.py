@@ -38,7 +38,7 @@ and it interns the public JointState of each (t, pending, record, channel)
 it builds, so decoding an equal state again is one lookup. It also keeps
 the simulator's episode memos by (channel states, cost): every policy,
 monte_carlo call and run_episode shares them, with at most one slot entry
-per interned state, until the index leaves _index_for's 32-trace cache.
+per interned state, while anything holds the index (_index_for holds it weakly).
 
 Every value table holds one row over channel states per (pending set,
 record) pair, as the exhaustive reference does. Post-decision rows are keyed
@@ -60,8 +60,9 @@ one lookup by identity.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import _CacheInfo  # what an lru_cache's cache_info returns
 
 import numpy as np
 
@@ -320,9 +321,29 @@ class _TraceIndex:
         return state
 
 
-@lru_cache(maxsize=32)
-def _index_for(trace: MediaTrace) -> _TraceIndex:
-    return _TraceIndex(trace)
+class _IndexRegistry(weakref.WeakValueDictionary):
+    """Each trace value's one live _TraceIndex, held weakly and shared by equal traces;
+    cache_info and cache_clear work as an lru_cache's (misses count index builds)."""
+
+    hits = misses = 0
+
+    def __call__(self, trace: MediaTrace) -> _TraceIndex:
+        idx = self.get(trace)
+        self.hits += idx is not None
+        if idx is None:
+            self.misses += 1
+            idx = self[trace] = _TraceIndex(trace)
+        return idx
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+
+_index_for = _IndexRegistry()
 
 
 def reachable_states(trace: MediaTrace, t: int) -> tuple[set[frozenset[int]], PriorityGraph]:

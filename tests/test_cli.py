@@ -15,6 +15,7 @@ from mediasched import (
     CostModel,
     MediaTrace,
     Packet,
+    TraceValidationError,
     build_priority_graph,
     build_state_tree,
     disconnection_degree,
@@ -260,6 +261,29 @@ def test_an_overflowing_convex_cost_is_infinite_not_a_crash(standard_dir, tmp_pa
         rows = read_csv(summ)
         assert len(rows) == 6
         assert all(math.isfinite(float(x)) for r in rows[1:] for x in r[2:])
+
+
+def test_distortions_adding_up_to_infinity_are_refused(volatile_dir, tmp_path, capsys):
+    # Each distortion is finite but their sum is not, so every value planned
+    # on this trace would be infinite and a policy dump would hold Infinity.
+    doc = json.dumps({"packets": [
+        {"id": pid, "size_bits": 1.0, "distortion": 1e308, "arrival": 0, "deadline": 2}
+        for pid in (1, 2)
+    ]})
+    with pytest.raises(TraceValidationError, match="finite total"):
+        load_trace(doc)
+    trace = MediaTrace(packets=tuple(Packet(pid, 1.0, 1e308, 0, 2) for pid in (1, 2)))
+    _, channel, cost, alpha, lam = volatile_scenario()
+    with pytest.raises(TraceValidationError, match="finite total"):
+        solve(trace, channel, cost, alpha, lam)
+    path, policy = tmp_path / "inf.json", tmp_path / "policy.json"
+    path.write_text(doc)
+    common = ["--trace", str(path), "--channel", str(volatile_dir / "channel.json")]
+    for args in (["solve", *common, "--out", str(policy)], ["simulate", *common]):
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[0].startswith("error:")
+    assert not policy.exists()
 
 
 def test_missing_file_fails_cleanly(tmp_path, capsys):

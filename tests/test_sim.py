@@ -1,7 +1,9 @@
 """Episode mechanics, pairing, and the baseline policies."""
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 from functools import partial
 from itertools import cycle, islice, product
@@ -683,8 +685,8 @@ def test_interned_states_keep_every_refusal_and_decision(monkeypatch):
 
 
 def test_greedy_and_oracle_keep_their_trace_index():
-    # The index lookup hashes the whole trace, so a policy holds its index
-    # instead of looking it up per decide.
+    # A policy holds its index, which keeps it alive, instead of looking it
+    # up per decide.
     trace, channel, cost, alpha, lam = standard_scenario()
     path = sample_path(channel, trace.horizon, seed=2)
     oracle = solve_exhaustive(trace, channel, cost, alpha, lam)
@@ -728,7 +730,7 @@ def test_policies_refuse_a_channel_state_outside_the_channel(name):
 
 
 def test_monte_carlo_looks_up_the_trace_index_once():
-    # The lookup hashes the whole trace; the episodes share one index.
+    # The episodes share one index, looked up once per call.
     trace, channel, cost, alpha, lam = standard_scenario()
     pols = [
         solve(trace, channel, cost, alpha, lam),
@@ -743,6 +745,48 @@ def test_monte_carlo_looks_up_the_trace_index_once():
                     episodes=episodes, loss_rate=0.2, seed=episodes)
         after = solver._index_for.cache_info()
         assert after.hits + after.misses - before.hits - before.misses <= 1
+
+
+def test_a_policy_keeps_its_index_while_other_traces_are_planned(monkeypatch):
+    # The episode loop looks the index up by trace value: it finds the one
+    # the policy holds, so every state it interns is one the policy decided.
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pol = solve(trace, channel, cost, alpha, lam)
+    call = partial(monte_carlo, [pol], trace, channel, cost, alpha, lam, 8, loss_rate=0.1)
+    want = call()["proposed"].utilities
+    rng = np.random.default_rng(24)
+    for _ in range(40):  # more traces than a cache of the last 32 would keep
+        solve(random_trace(rng, deps=True), channel, cost, alpha, lam)
+    assert solver._index_for(trace) is pol.idx
+    acted = []
+    act = pol._act
+    monkeypatch.setattr(pol, "_act", lambda *key: acted.append(key) or act(*key))
+    assert call()["proposed"].utilities.tobytes() == want.tobytes()
+    assert acted == []
+
+
+def test_an_index_and_its_memos_die_with_the_last_policy_on_its_trace():
+    trace, channel, cost, alpha, lam = standard_scenario()
+    solver._index_for.cache_clear()  # no index held elsewhere is found
+    pol = solve(trace, channel, cost, alpha, lam)
+    monte_carlo([pol], trace, channel, cost, alpha, lam, 4)
+    (_, slots), = pol.idx.episode_memos.values()
+    idx, state = weakref.ref(pol.idx), weakref.ref(next(iter(slots.values()))[0])
+    del slots
+    assert solver._index_for.cache_info().currsize == 1
+    del pol
+    gc.collect()
+    assert idx() is None and state() is None
+    assert solver._index_for.cache_info().currsize == 0
+
+
+def test_equal_traces_share_the_live_index():
+    trace, channel, cost, alpha, lam = standard_scenario()
+    copy = MediaTrace(packets=tuple(replace(p) for p in trace.packets))
+    assert copy == trace and copy is not trace
+    pol = solve(trace, channel, cost, alpha, lam)
+    assert solver._index_for(copy) is pol.idx
+    assert baseline_distortion_greedy(copy, channel, cost, lam).idx is pol.idx
 
 
 @pytest.mark.parametrize("episodes", [0, 1])

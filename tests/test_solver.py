@@ -278,8 +278,8 @@ def test_emissions_are_the_upper_sets_of_the_schedulable_packets():
 
 def test_no_per_solve_cache_outlives_solve(monkeypatch):
     # Upper sets are walked once per distinct schedulable set in a solve.
-    # That cache lives in the solve alone: the index, which _index_for keeps
-    # for many traces, and the returned policy keep no trace of it.
+    # That cache lives in the solve alone: the index, which outlives the
+    # solve while a policy holds it, and the returned policy keep no trace of it.
     trace = synth_trace(24, 4, 2, (9.0, 6.0, 4.0, 3.0), seed=41)
     channel = random_channel(np.random.default_rng(5), 3)
     cost = CostModel(kind="convex", slot_duration=2.0)

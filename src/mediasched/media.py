@@ -20,6 +20,11 @@ _PACKET_FIELDS = {"id", "size_bits", "distortion", "arrival", "deadline", "paren
 # Every per-slot table is sized by the largest deadline, so this bounds the
 # memory and time of indexing, planning and simulating a valid trace.
 MAX_DEADLINE = 2**16
+# What validate_trace requires of each scalar packet field; NumPy's numbers pass.
+_INTEGER, _REAL = (int, np.integer), (int, float, np.integer, np.floating)
+_FIELD_TYPES = {"id": (_INTEGER, "an integer"), "arrival": (_INTEGER, "an integer"),
+                "deadline": (_INTEGER, "an integer"), "size_bits": (_REAL, "a real number"),
+                "distortion": (_REAL, "a real number")}
 
 
 def _bits(mask: int):
@@ -164,7 +169,16 @@ class MediaTrace:
 
 def validate_trace(trace: MediaTrace) -> list[str]:
     """Return a list of invariant violations, empty when the trace is sound."""
-    out: list[str] = []
+    if not isinstance(trace.packets, tuple):
+        return ["packets must be a tuple"]
+    out = [f"packet {p.id}: {name} must be {what}" for p in trace.packets
+           for name, (kinds, what) in _FIELD_TYPES.items()
+           if not isinstance(getattr(p, name), kinds)]
+    out += [f"packet {p.id}: parents must be a frozenset of integer ids" for p in trace.packets
+            if not isinstance(p.parents, frozenset)
+            or not all(isinstance(x, _INTEGER) for x in p.parents)]
+    if out:  # reported alone: the checks below compare and hash these fields
+        return out
     seen: set[int] = set()
     for p in trace.packets:
         if p.id in seen:

@@ -46,9 +46,10 @@ by the stripped pending set (expiring packets removed) and the dependency
 record already advanced to the next slot. The planned key family follows the
 per-slot enumeration; pairs sitting outside it (reachable only through
 dependency starvation, or through external loss feedback during simulation)
-are evaluated lazily on demand, a whole row at a time. Those met while
-planning join the table and are tallied as extra; those met while acting go
-to per-slot memos on the policy, so acting never changes a solved table.
+are evaluated lazily, a row at a time, into per-slot memos on the policy.
+While planning those are the table's own dicts, so such pairs join it behind
+the planned ones as extra; acting gets fresh memos and never changes it.
+Every hold row is alpha * transition @ row, from one product (_hold_rows).
 Every state value is stored with the emission order that achieves it, so
 deciding in a known state is a lookup.
 Every policy, the baselines included, decides through _Decider.decide. It
@@ -70,10 +71,6 @@ from .channel import ChannelModel, CostModel
 from .media import MediaTrace, TraceValidationError, _bits, close, validate_trace
 from .priority import PriorityGraph, _graph, arrival_ordered, co_live_pairs, outranked_by, peel
 from .single_packet import ThresholdPolicy, _check_inputs, act_single, solve_single
-
-
-class SolverError(RuntimeError):
-    """Internal consistency failure in the value tables."""
 
 
 @dataclass(frozen=True)
@@ -328,7 +325,10 @@ class _IndexRegistry(weakref.WeakValueDictionary):
     hits = misses = 0
 
     def __call__(self, trace: MediaTrace) -> _TraceIndex:
-        idx = self.get(trace)
+        try:
+            idx = self.get(trace)
+        except TypeError:  # an unhashable field, which validate_trace names
+            raise TraceValidationError(validate_trace(trace)) from None
         self.hits += idx is not None
         if idx is None:
             self.misses += 1
@@ -506,8 +506,8 @@ class SolvedPolicy(_Policy):
     keys: dict[tuple[int, float], int]
 
     def __post_init__(self):
-        # Off-plan states evaluated while acting, per slot. The table is
-        # never written after solve, so acting leaves the dump unchanged.
+        # Off-plan pairs met while acting, per slot, kept off the table so the
+        # dump never changes; solve_convex plans with the table in their place.
         self._post_memo: list[dict] = [{} for _ in range(self.idx.horizon + 1)]
         self._state_memo: list[dict] = [{} for _ in range(self.idx.horizon + 1)]
 
@@ -535,40 +535,31 @@ class SolvedPolicy(_Policy):
 # ---------------------------------------------------------------------------
 
 
+def _hold_rows(pol: SolvedPolicy, rows: list[list[float]]) -> list[list[float]]:
+    """alpha * transition @ row per next-slot value row, in one stacked product
+    that gives row by row the same bits as transition @ row."""
+    stacked = np.matmul(pol.channel.transition, np.array(rows)[:, :, None])[:, :, 0]
+    return (pol.alpha * stacked).tolist()
+
+
 def _post_value(pol: SolvedPolicy, t: int, stripped: int, nxt_dmask: int) -> list[float]:
     """Hold values of slot t's post-decision pair (stripped, nxt_dmask) off
     the planned table, per channel state: from the memo, or evaluated on demand."""
     key = (stripped, nxt_dmask)
     hit = pol._post_memo[t].get(key)
-    if hit is not None:
-        return hit
-    nxt = _state_entry(pol, t + 1, stripped | pol.idx.arrive_mask[t + 1], nxt_dmask)[0]
-    row = []
-    for probs in pol.channel.transition.tolist():
-        total = 0.0
-        for p, value in zip(probs, nxt):
-            if p > 0.0:
-                total += p * value
-        row.append(pol.alpha * total)
-    pol._post_memo[t][key] = row
-    return row
+    if hit is None:
+        nxt = _state_entry(pol, t + 1, stripped | pol.idx.arrive_mask[t + 1], nxt_dmask)[0]
+        hit = pol._post_memo[t][key] = _hold_rows(pol, [nxt])[0]
+    return hit
 
 
 def _state_entry(pol: SolvedPolicy, t: int, pending: int, dmask: int) -> tuple[list, list]:
     """Slot values and emission orders per channel state, from the table, the
     memo or one resolution."""
-    if t > pol.idx.horizon:
-        if pending:
-            raise SolverError("pending packets past the horizon")
-        n_h = pol.channel.n_states
-        return [0.0] * n_h, [()] * n_h
     key = (pending, dmask)
-    hit = pol.table.state_values[t].get(key)
+    hit = pol.table.state_values[t].get(key) or pol._state_memo[t].get(key)
     if hit is None:
-        hit = pol._state_memo[t].get(key)
-    if hit is None:
-        hit = _resolve(pol, t, pending, dmask)
-        pol._state_memo[t][key] = hit
+        hit = pol._state_memo[t][key] = _resolve(pol, t, pending, dmask)
     return hit
 
 
@@ -713,11 +704,11 @@ def solve_convex(
     hz = idx.horizon
     n_h = channel.n_states
     table = ValueTable(
-        state_values=[{} for _ in range(hz + 2)],
+        state_values=[{} for _ in range(hz + 1)],
         post_values=[{} for _ in range(hz + 1)],
         visited=[0] * (hz + 2),
         comparisons=[0] * (hz + 1),
-        extra=[0] * (hz + 2),
+        extra=[],  # counted once the pass is done
     )
     pol = SolvedPolicy(
         trace=trace,
@@ -730,10 +721,13 @@ def solve_convex(
         batch=[[0.0] for _ in range(n_h)],
         keys={},
     )
+    # While planning, the memos are the table: the off-family pairs met go
+    # into it behind each slot's planned pairs, in evaluation order.
+    pol._post_memo, pol._state_memo = table.post_values, table.state_values
     # Past the last deadline everything has expired or been dropped.
     table.post_values[hz][(0, 0)] = [0.0] * n_h
 
-    transition = channel.transition
+    planned = [0] * (hz + 1)  # pairs planned per slot
     walks: dict[int, list] = {}  # upper sets per schedulable set, for this solve only
     for t in range(hz, -1, -1):
         pre_sets = idx.aux_tree_sets(t)
@@ -749,19 +743,12 @@ def solve_convex(
                 values[(pending, dmask)] = entry = _resolve(pol, t, pending, dmask, emissions)
                 keys.append((pre, dmask))
                 future.append(entry[0])
+        planned[t] = len(keys)
         table.visited[t] = n_h * len(records) * (len(pre_sets) - 1)
         if t > 0:
-            # One stacked product per slot, row by row the same bits as
-            # transition @ row.
-            held = alpha * np.matmul(transition, np.array(future)[:, :, None])[:, :, 0]
-            table.post_values[t - 1].update(zip(keys, held.tolist()))
-    # Off-family pairs that planning evaluated join the table behind the
-    # planned ones, in evaluation order, and count as extra: one state per
-    # channel state.
-    for t in range(hz + 1):
-        table.post_values[t].update(pol._post_memo[t])
-        table.state_values[t].update(pol._state_memo[t])
-        table.extra[t] = n_h * len(pol._state_memo[t])
+            table.post_values[t - 1].update(zip(keys, _hold_rows(pol, future)))
+    # Each off-family pair counts one extra state per channel state.
+    table.extra = [n_h * (len(v) - k) for v, k in zip(table.state_values, planned)]
     return replace(pol)  # a new instance: acting starts with empty memos
 
 

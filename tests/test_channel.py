@@ -92,6 +92,21 @@ def test_validate_shape_mismatch():
     assert any("must be 1x1" in v for v in validate_channel(model))
 
 
+def test_validate_flags_empty_and_negative_probabilities():
+    assert validate_channel(ChannelModel(states=(), transition=np.zeros((0, 0)),
+                                         initial=np.zeros(0))) == [
+        "channel needs at least one state"]
+    model = two_state()
+    below = replace(model, transition=np.array([[1.0 + 2e-9, -2e-9], [0.5, 0.5]]))
+    assert validate_channel(below) == ["transition has negative entries"]
+    within = replace(model, transition=np.array([[1.0 + 5e-10, -5e-10], [0.5, 0.5]]))
+    assert validate_channel(within) == []
+    short = replace(model, initial=np.array([1.0]))
+    assert validate_channel(short) == ["initial must have length 2, got shape (1,)"]
+    negative = replace(model, initial=np.array([1.5, -0.5]))
+    assert validate_channel(negative) == ["initial has negative entries"]
+
+
 def test_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -25,6 +25,7 @@ from mediasched import (
     load_trace,
     pg_to_dot,
     reachable_states,
+    save_scenario,
     solve,
     synth_trace,
     tree_to_dot,
@@ -59,6 +60,12 @@ def test_make_scenario_writes_the_bundle(volatile_dir, capsys):
     assert params["scenario"] == "volatile"
     assert params["cost"] == "linear"
     assert set(params) == {"scenario", "cost", "slot_duration", "alpha", "lambda"}
+
+
+def test_save_scenario_refuses_an_unknown_name(tmp_path):
+    with pytest.raises(ValueError, match="unknown scenario 'busy'"):
+        save_scenario("busy", tmp_path / "busy")
+    assert not (tmp_path / "busy").exists()
 
 
 def test_solve_dumps_thresholds_for_independent_traces(volatile_dir, tmp_path, capsys):

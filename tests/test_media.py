@@ -16,6 +16,8 @@ from mediasched import (
     TraceValidationError,
     dump_trace,
     load_trace,
+    reachable_states,
+    solve,
     solve_convex,
     solve_exhaustive,
     synth_trace,
@@ -100,6 +102,47 @@ def test_validate_detects_cycles():
         )
     )
     assert any(v.startswith("dependency cycle") for v in validate_trace(trace))
+
+
+@pytest.mark.parametrize(
+    "field, value, violation",
+    [("arrival", 1.0, "arrival must be an integer"),
+     ("deadline", 3.0, "deadline must be an integer"),
+     ("id", "a", "id must be an integer"),
+     ("size_bits", "big", "size_bits must be a real number"),
+     ("distortion", None, "distortion must be a real number"),
+     ("parents", [0], "parents must be a frozenset of integer ids")],
+)
+def test_wrongly_typed_fields_are_violations_not_crashes(field, value, violation):
+    # load_trace refuses these documents; a hand-built packet reaches the
+    # validator, and every entry point reports it instead of raising TypeError.
+    packet = replace(Packet(1, 1.0, 5.0, 1, 3), **{field: value})
+    trace = MediaTrace(packets=(Packet(0, 1.0, 2.0, 0, 3), packet))
+    assert [v.split(": ", 1)[1] for v in validate_trace(trace)] == [violation]
+    channel, cost, alpha, lam = SCENARIOS["standard"]()[1:]
+    for call in (lambda: solve(trace, channel, cost, alpha, lam),
+                 lambda: reachable_states(trace, 1)):
+        with pytest.raises(TraceValidationError) as err:
+            call()
+        assert err.value.violations == validate_trace(trace)
+
+
+def test_a_list_of_packets_is_a_violation_not_a_crash():
+    trace = MediaTrace(packets=[Packet(0, 1.0, 2.0, 0, 3)])
+    assert validate_trace(trace) == ["packets must be a tuple"]
+    with pytest.raises(TraceValidationError, match="packets must be a tuple"):
+        reachable_states(trace, 1)
+
+
+def test_numpy_numbers_stay_valid():
+    first = Packet(0, 1.0, 2.0, 0, 3)
+    plain = MediaTrace(packets=(first, Packet(1, 1.0, 5.0, 1, 3, frozenset({0}))))
+    trace = MediaTrace(packets=(first, Packet(np.int64(1), np.float64(1.0), 5.0, np.int32(1),
+                                              np.int64(3), frozenset({np.int64(0)}))))
+    assert validate_trace(trace) == []
+    channel, cost, alpha, lam = SCENARIOS["standard"]()[1:]
+    assert (solve(trace, channel, cost, alpha, lam).initial_values().tolist()
+            == solve(plain, channel, cost, alpha, lam).initial_values().tolist())
 
 
 def warshall_ancestry(trace):

@@ -25,6 +25,7 @@ from mediasched import (
     solve_linear,
     solve_single,
     standard_dp_counts,
+    standard_scenario,
     synth_trace,
     volatile_scenario,
 )
@@ -129,6 +130,27 @@ def test_state_validation_messages():
         advance_state(JointState(2, frozenset({2}), (), 0), [], 0, trace)
     with pytest.raises(ValueError, match="unknown packet id"):
         advance_state(JointState(0, frozenset({1}), (), 0), [77], 0, trace)
+
+
+def test_a_state_holding_a_plain_set_is_answered_but_not_remembered():
+    # A set inside a state makes it unhashable: it is decoded on every call,
+    # answers as the frozenset state does, and joins neither memo.
+    for scenario in (standard_scenario, volatile_scenario):
+        trace, channel, cost, alpha, lam = scenario()
+        pol = solve(trace, channel, cost, alpha, lam)
+        idx = pol.idx
+        states = [JointState(t, idx.ids_of(pending), idx.deps_tuple(t, dmask), h)
+                  for t in range(trace.horizon + 1)
+                  for pre in idx.aux_tree_sets(t)
+                  for pending in [pre | idx.arrive_mask[t]]
+                  for dmask in idx.records(t)
+                  for h in range(channel.n_states)]
+        answers = [(pol.decide(s), pol.state_value(s)) for s in states]
+        masks, decided = len(idx._masks), len(pol._decided)
+        for state, answer in zip(states, answers, strict=True):
+            plain = replace(state, pending=set(state.pending))
+            assert (pol.decide(plain), pol.state_value(plain)) == answer
+        assert (len(idx._masks), len(pol._decided)) == (masks, decided)
 
 
 def test_records_match_the_definition():
@@ -746,6 +768,37 @@ def test_planned_keys_come_first_in_loop_order():
                 assert dumped[i * n_h:(i + 1) * n_h] == want
         with_extra += any(table.extra)
     assert with_extra >= 3
+
+
+def hold_rows(pol):
+    """(hold row, the next slot's value row it holds) per hold row the policy
+    keeps before the last slot, in its table and in its acting memos."""
+    idx, table = pol.idx, pol.table
+    for t in range(idx.horizon):
+        nxt = {**table.state_values[t + 1], **pol._state_memo[t + 1]}
+        for (stripped, dmask), row in [*table.post_values[t].items(), *pol._post_memo[t].items()]:
+            yield row, nxt[stripped | idx.arrive_mask[t + 1], dmask][0]
+
+
+def test_every_hold_row_is_the_bits_of_one_matrix_vector_product():
+    # Planned rows come a slot at a time and off-family rows one at a time,
+    # while planning or acting: every one is alpha * transition @ next row.
+    def check(pol):
+        n_h, hz = pol.channel.n_states, pol.idx.horizon
+        assert pol.table.post_values[hz] == {(0, 0): [0.0] * n_h} and not pol._post_memo[hz]
+        for row, nxt in hold_rows(pol):
+            assert row == (pol.alpha * (pol.channel.transition @ np.array(nxt))).tolist()
+
+    with_extra = 0
+    for pol in planned_slot_tables(24, 200):
+        check(pol)
+        with_extra += any(pol.table.extra)
+    assert with_extra >= 3
+    trace, channel, cost, alpha, lam = standard_scenario()
+    pol = solve(trace, channel, cost, alpha, lam)
+    monte_carlo([pol], trace, channel, cost, alpha, lam, episodes=20_000, loss_rate=0.1)
+    assert sum(map(len, pol._post_memo)) == 13  # rows of 2 values each
+    check(pol)
 
 
 def test_standard_dp_counts_by_hand():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, CostModel
-from .media import MediaTrace, Packet
+from .media import MediaTrace, Packet, _bits
 from .single_packet import _check_inputs
 from .solver import JointState, _Policy, _TraceIndex, _index_for
 
@@ -51,7 +51,7 @@ class ExhaustiveSolution(_Policy):
 
     def _act(self, t: int, pending: int, dmask: int, h: int) -> tuple[int, ...]:
         tx = self.actions[t][(pending, dmask)][h]
-        return tuple(self.idx.ids[i] for i in self.idx.topo if tx >> i & 1)
+        return tuple(self.idx.ids[i] for i in sorted(_bits(tx), key=self.idx.rank.__getitem__))
 
     def state_value(self, state: JointState) -> float:
         pending, dmask = self.idx.state_masks(state, self.channel.n_states)

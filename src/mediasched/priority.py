@@ -15,18 +15,19 @@ When no three packets are mutually unordered its nonempty-set count is the
 packet count plus the number of unordered pairs (the disconnection degree);
 larger unordered clusters push the count above that.
 
-One bitmask core computes the relation (from the ancestor and descendant
-masks each trace caches), its closure, its transitive reduction and root
-peeling. The id-set functions are adapters around it; the solver's trace
-index uses it directly, and solver.reachable_states reads its slot view.
+One bitmask core over trace positions computes the relation, its closure,
+its transitive reduction and root peeling. outranked_by reads ancestry from
+the masks each trace caches and calls _order only on equal-size pairs it
+leaves unrelated. The id-set functions validate the trace and adapt the
+core; the solver's trace index passes it the co-live masks, and
+solver.reachable_states reads its slot view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .media import MediaTrace, _bits, close
+from .media import MediaTrace, TraceValidationError, _bits, close, validate_trace
 
 
 @dataclass(frozen=True)
@@ -90,52 +91,30 @@ def _ids(frame, mask: int) -> frozenset[int]:
     return frozenset(frame[i] for i in _bits(mask))
 
 
-def outranked_by(trace: MediaTrace, ids, pairs=None) -> list[int]:
-    """Per position in ids, the mask of the ids outranking it (not closed).
+def outranked_by(trace: MediaTrace, within: list[int]) -> list[int]:
+    """Per trace position b, the mask of the positions in within[b] that
+    outrank it (not closed); within must be symmetric.
 
-    pairs, as (a, b) positions in ids, are the only ones compared; by
-    default every pair is.
+    Dependency is decided first: the ancestors inside within[b] outrank b with
+    no call. The attribute test needs one size, so _order runs only on the
+    pairs left unrelated by ancestry whose sizes are equal.
     """
-    pos = trace._pos
+    packets = trace.packets
     desc, anc = trace.descendant_masks, trace.ancestor_masks
-    packets = [trace.by_id[x] for x in ids]
-    at = [pos[x] for x in ids]
-    pred = [0] * len(at)
-    for a, b in combinations(range(len(at)), 2) if pairs is None else pairs:
-        pa, pb = at[a], at[b]
-        verdict = _order(packets[a], packets[b], 1 << pa, 1 << pb,
-                         desc[pa], desc[pb], anc[pa], anc[pb])
-        if verdict > 0:
-            pred[b] |= 1 << a
-        elif verdict < 0:
-            pred[a] |= 1 << b
+    same_size: dict[float, int] = {}
+    for i, p in enumerate(packets):
+        same_size[p.size_bits] = same_size.get(p.size_bits, 0) | 1 << i
+    pred = [mask & anc[b] for b, mask in enumerate(within)]
+    for b, mask in enumerate(within):
+        pb = packets[b]
+        rest = mask & same_size[pb.size_bits] & ~anc[b] & ~desc[b] & ((1 << b) - 1)
+        for a in _bits(rest):
+            verdict = _order(packets[a], pb, 1 << a, 1 << b, desc[a], desc[b], anc[a], anc[b])
+            if verdict > 0:
+                pred[b] |= 1 << a
+            elif verdict < 0:
+                pred[a] |= 1 << b
     return pred
-
-
-def co_live_pairs(trace: MediaTrace, ids):
-    """Pairs of positions in ids whose packets are live in a common slot.
-
-    Sorted by arrival, a packet meets the later arrivals up to its deadline;
-    every one of them arrives before its own deadline, so the windows overlap.
-    """
-    packets = [trace.by_id[x] for x in ids]
-    order = sorted(range(len(packets)), key=lambda i: packets[i].arrival)
-    for x, a in enumerate(order):
-        deadline = packets[a].deadline
-        for y in range(x + 1, len(order)):
-            b = order[y]
-            if packets[b].arrival > deadline:
-                break
-            yield a, b
-
-
-def arrival_ordered(trace: MediaTrace, ids, pred: list[int]) -> list[int]:
-    """Drop predecessors arriving later: a later arrival cannot precede in time."""
-    arrival = [trace.by_id[x].arrival for x in ids]
-    return [
-        sum(1 << a for a in _bits(mask) if arrival[a] <= arrival[b])
-        for b, mask in enumerate(pred)
-    ]
 
 
 def reduce_closed(closed: list[int]) -> list[int]:
@@ -190,26 +169,32 @@ def _masks(nodes, pairs) -> tuple[tuple[int, ...], list[int]]:
     return frame, pred
 
 
-def _frame(trace: MediaTrace, ids) -> tuple[int, ...]:
-    """The distinct ids in ascending order; an id not in the trace raises."""
-    frame = tuple(sorted(set(ids)))
-    unknown = [x for x in frame if x not in trace.by_id]
+def _given(trace: MediaTrace, ids) -> tuple[int, list[int]]:
+    """Mask of the distinct ids' trace positions and, per position, the other
+    given ones; an invalid trace or an id the trace does not have raises."""
+    bad = validate_trace(trace)
+    if bad:
+        raise TraceValidationError(bad)
+    given = set(ids)
+    unknown = sorted(given.difference(trace.by_id))
     if unknown:
         raise ValueError(f"unknown packet ids {unknown}")
-    return frame
+    nodes = sum(1 << trace._pos[x] for x in given)
+    return nodes, [nodes & ~(1 << i) if nodes >> i & 1 else 0 for i in range(len(trace.packets))]
 
 
 def priority_pairs(trace: MediaTrace, ids) -> set[tuple[int, int]]:
     """All ordered pairs (a, b) with a outranking b among the distinct ids."""
-    frame = _frame(trace, ids)
-    pred = outranked_by(trace, frame)
-    return {(frame[a], frame[b]) for b, mask in enumerate(pred) for a in _bits(mask)}
+    nodes, within = _given(trace, ids)
+    pred, frame = outranked_by(trace, within), [p.id for p in trace.packets]
+    return {(frame[a], frame[b]) for b in _bits(nodes) for a in _bits(pred[b])}
 
 
 def build_priority_graph(ids, trace: MediaTrace) -> PriorityGraph:
     """Pairwise-ordered graph over the distinct ids, transitively reduced."""
-    frame = _frame(trace, ids)
-    return _graph(frame, close(outranked_by(trace, frame)), (1 << len(frame)) - 1)
+    nodes, within = _given(trace, ids)
+    closed = close(outranked_by(trace, within), list(_bits(nodes)))
+    return _graph(tuple(p.id for p in trace.packets), closed, nodes)
 
 
 def disconnection_degree(pg: PriorityGraph) -> int:

@@ -25,8 +25,10 @@ Two engines, each with its own policy class:
   (channel state, price key), where the walk names each emission's sizes by
   a small key, priced once.
 
-Indexing a trace is linear in its length: priorities are compared only
-between packets live in a common slot, the only pairs any slot reads.
+Indexing a trace builds its windows from two prefix masks (arrived by t,
+expired before t); priorities are read only between packets live in a
+common slot, the only pairs any slot reads, and _order runs only on those
+unrelated by ancestry with equal sizes.
 
 A pending set is a bitmask over packet positions in the trace. The
 delivery record is a bitmask in the same numbering: bit i is set when the
@@ -64,12 +66,14 @@ import math
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import _CacheInfo  # what an lru_cache's cache_info returns
+from itertools import accumulate
+from operator import or_
 
 import numpy as np
 
 from .channel import ChannelModel, CostModel
 from .media import MediaTrace, TraceValidationError, _bits, close, validate_trace
-from .priority import PriorityGraph, _graph, arrival_ordered, co_live_pairs, outranked_by, peel
+from .priority import PriorityGraph, _graph, outranked_by, peel
 from .single_packet import ThresholdPolicy, _check_inputs, act_single, solve_single
 
 
@@ -122,28 +126,28 @@ class _TraceIndex:
         self.horizon = trace.horizon
 
         self.parent_mask = trace.parent_masks
-        self.topo = trace.topo_order  # every packet: a valid trace has no cycle
+        self.rank = {i: r for r, i in enumerate(trace.topo_order)}  # places in Kahn order
 
         hz = self.horizon
-        self.live_mask = [0] * (hz + 1)
         self.arrive_mask = [0] * (hz + 2)
         self.expire_mask = [0] * (hz + 1)
-        # topo_live[t]: topological order restricted to the packets live at t,
-        # which still puts every pending parent ahead of its child; each
-        # packet is swept into its own window.
-        self.topo_live: list[list[int]] = [[] for _ in range(hz + 1)]
-        for i in self.topo:
+        for i in range(self.n):
             self.arrive_mask[self.arrival[i]] |= 1 << i
             self.expire_mask[self.deadline[i]] |= 1 << i
-            for t in range(self.arrival[i], self.deadline[i] + 1):
-                self.live_mask[t] |= 1 << i
-                self.topo_live[t].append(i)
+        # arrived[t]: the packets arriving by slot t; gone[t]: those expired before it
+        arrived = list(accumulate(self.arrive_mask, or_))
+        gone = [0, *accumulate(self.expire_mask, or_)]
+        self.live_mask = [arrived[t] & ~gone[t] for t in range(hz + 1)]
         self.id_str = tuple(str(pid) for pid in self.ids)
 
         self._build_dep_masks()
-        # Both relations are only ever read between packets live in one slot.
-        self.cert_pred = outranked_by(trace, self.ids, co_live_pairs(trace, self.ids))
-        self.aux_pred = arrival_ordered(trace, self.ids, self.cert_pred)
+        # Both relations are only ever read between packets live in one slot:
+        # each arrives by the other's deadline.
+        co_live = [arrived[self.deadline[b]] & ~gone[self.arrival[b]] & ~(1 << b)
+                   for b in range(self.n)]
+        self.cert_pred = outranked_by(trace, co_live)
+        # a later arrival cannot precede in time
+        self.aux_pred = [m & arrived[a] for m, a in zip(self.cert_pred, self.arrival)]
         # Interned states: joint_state builds each once, and state_masks
         # decodes a state equal to one built or checked before by lookup.
         self._states: dict[tuple[int, int, int, int], JointState] = {}
@@ -203,9 +207,7 @@ class _TraceIndex:
         """
         sched = 0
         live = self.live_mask[t]
-        for i in self.topo_live[t]:
-            if not pending >> i & 1:
-                continue
+        for i in sorted(_bits(pending), key=self.rank.__getitem__):
             pm = self.parent_mask[i]
             # expired parents need their record bit, pending ones must be
             # schedulable themselves

@@ -30,7 +30,7 @@ from mediasched import (
 )
 from mediasched import priority, synth_trace
 from mediasched.media import close
-from mediasched.priority import _graph, arrival_ordered, co_live_pairs, outranked_by, peel
+from mediasched.priority import _graph, peel
 from mediasched.solver import _TraceIndex
 from conftest import pairwise_only, random_trace
 
@@ -181,35 +181,94 @@ def test_build_priority_graph_rejects_unknown_ids():
         build_priority_graph((1, 9), attr_trace((5, 4), (2, 2)))
 
 
+def test_priority_pairs_and_graph_refuse_invalid_traces():
+    # A 2-cycle, a repeated id, an unknown parent and a parent arriving after
+    # its child: neither entry point may answer on any of them.
+    def pkt(pid, arrival=0, parents=()):
+        return Packet(id=pid, size_bits=1.0, distortion=1.0, arrival=arrival, deadline=3,
+                      parents=frozenset(parents))
+
+    for packets, why in (((pkt(1, parents={2}), pkt(2, parents={1})), "dependency cycle"),
+                         ((pkt(1), pkt(1), pkt(2)), "duplicate id"),
+                         ((pkt(1), pkt(2, parents={7})), "unknown parent 7"),
+                         ((pkt(1, arrival=1), pkt(2, parents={1})), "arrives later")):
+        trace = MediaTrace(packets=packets)
+        with pytest.raises(TraceValidationError, match=why):
+            priority_pairs(trace, (1, 2))
+        with pytest.raises(TraceValidationError, match=why):
+            build_priority_graph((1, 2), trace)
+
+
+def all_pairs_pred(trace, ids) -> list[int]:
+    """Per position in ids, the mask of the ids outranking it, from _order's
+    verdict on every pair."""
+    return [sum(1 << a for a, x in enumerate(ids) if a != b and order(trace, x, y) == 1)
+            for b, y in enumerate(ids)]
+
+
+def co_live_masks(trace) -> list[int]:
+    """Per trace position, the other packets whose live windows meet its own."""
+    windows = [(p.arrival, p.deadline) for p in trace.packets]
+    return [
+        sum(1 << a for a, (arr, dl) in enumerate(windows)
+            if a != b and arr <= windows[b][1] and windows[b][0] <= dl)
+        for b in range(len(windows))
+    ]
+
+
 def test_the_index_compares_co_live_pairs_as_all_pairs_do():
     # The index asks only about packets live in a common slot, the only
     # pairs a slot ever reads; there it must agree with the all-pairs
-    # relation, which the id-set adapters keep using (checked against
-    # _order by test_priority_pairs_match_pairwise_verdicts).
+    # relation of _order's verdicts.
     rng = np.random.default_rng(62)
     apart = 0
     for k in range(200):
         trace = random_trace(rng, n=int(rng.integers(2, 12)), horizon=int(rng.integers(3, 16)),
                              deps=bool(k % 2), gaps=k % 4 == 1)
         idx = _TraceIndex(trace)
-        full = outranked_by(trace, idx.ids)
-        full_aux = arrival_ordered(trace, idx.ids, full)
-        windows = [(p.arrival, p.deadline) for p in trace.packets]
-        co_live = [
-            sum(1 << a for a, (arr, dl) in enumerate(windows)
-                if a != b and arr <= windows[b][1] and windows[b][0] <= dl)
-            for b in range(idx.n)
-        ]
-        pairs = list(co_live_pairs(trace, idx.ids))
-        assert len(pairs) == len({frozenset(pr) for pr in pairs})
-        assert {frozenset(pr) for pr in pairs} == {
-            frozenset((a, b)) for b in range(idx.n) for a in range(idx.n) if co_live[b] >> a & 1
-        }
+        full = all_pairs_pred(trace, idx.ids)
+        co_live = co_live_masks(trace)
         for b in range(idx.n):
+            earlier = sum(1 << a for a in range(idx.n) if idx.arrival[a] <= idx.arrival[b])
             assert idx.cert_pred[b] == full[b] & co_live[b]
-            assert idx.aux_pred[b] == full_aux[b] & co_live[b]
+            assert idx.aux_pred[b] == full[b] & earlier & co_live[b]
         apart += any(full[b] & ~co_live[b] for b in range(idx.n))
     assert apart > 20  # ordered pairs that are never live together exist
+
+
+def test_the_index_calls_order_only_on_unrelated_equal_size_co_live_pairs(monkeypatch):
+    # Ancestry decides a pair without a call, and the attribute test never
+    # orders packets of different sizes, so only the rest reach _order.
+    calls = 0
+    verdict = priority._order
+
+    def counting_order(*args):
+        nonlocal calls
+        calls += 1
+        return verdict(*args)
+
+    monkeypatch.setattr(priority, "_order", counting_order)
+    rng = np.random.default_rng(63)
+    for k in range(200):
+        trace = random_trace(rng, n=int(rng.integers(2, 12)), horizon=int(rng.integers(3, 16)),
+                             deps=True, gaps=k % 2 == 1, uniform=k % 2 == 0)
+        anc, co_live = trace.ancestor_masks, co_live_masks(trace)
+        size = [p.size_bits for p in trace.packets]
+        expect = sum(1 for b in range(len(size)) for a in range(b)
+                     if co_live[b] >> a & 1 and not (anc[a] >> b | anc[b] >> a) & 1
+                     and size[a] == size[b])
+        calls = 0
+        _TraceIndex(trace)
+        assert calls == expect
+    # one live window of 1536 chained frames: every pair is related by ancestry
+    n = 1536
+    chain = synth_trace(1, n, 1, range(n, 0, -1), seed=1)
+    calls = 0
+    idx = _TraceIndex(chain)
+    assert calls == 0
+    assert len({(p.arrival, p.deadline) for p in chain.packets}) == 1  # co-live: all others
+    for b in range(n):
+        assert idx.cert_pred[b] == chain.ancestor_masks[b] & ~(1 << b)
 
 
 def test_indexing_a_long_trace_compares_only_co_live_packets(monkeypatch):
@@ -392,7 +451,9 @@ def reference_reachable_states(trace, t):
     if t < 0:
         raise ValueError("slot must be nonnegative")
     frame = tuple(sorted(p.id for p in trace.packets if p.arrival < t <= p.deadline))
-    pred = arrival_ordered(trace, frame, outranked_by(trace, frame))
+    arrival = [trace.by_id[x].arrival for x in frame]
+    pred = [mask & sum(1 << a for a in range(len(frame)) if arrival[a] <= arrival[b])
+            for b, mask in enumerate(all_pairs_pred(trace, frame))]
     full = (1 << len(frame)) - 1
     aux = _graph(frame, close(pred), full)
     arriving = frozenset(p.id for p in trace.packets if p.arrival == t)
